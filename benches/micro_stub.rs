@@ -446,7 +446,7 @@ fn bench_mmr(c: &mut Criterion) {
         // strings plus the materialized op vector.
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        let lines = devil_fuzz::run(&mut inst, &mut dev, &ops);
+        let lines = devil_fuzz::run(devil_fuzz::Rig::Fast, &mut inst, &mut dev, &ops);
         let line_bytes: usize = lines.iter().map(|l| l.len() + std::mem::size_of::<String>()).sum();
         let retained = 2 * line_bytes + ops.len() * std::mem::size_of::<devil_fuzz::Op>();
         criterion::record_value(&format!("mmr/linear_retained_bytes_{label}"), retained as f64);

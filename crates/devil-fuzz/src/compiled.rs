@@ -1,41 +1,75 @@
-//! The compiled-code differential oracle: proves the **generated C
-//! stubs** faithful to the fast-path interpreter by actually compiling
-//! and running them.
+//! The compiled-code differential oracle: proves the **generated C and
+//! Rust stubs** faithful to the fast-path interpreter by actually
+//! compiling and running them.
 //!
-//! For one spec, [`CompiledStub::build`] emits the C header
-//! (`devil_codegen::emit_c`), wraps it in a generated harness — a bus
-//! shim replacing `inb`/`outb` with a logging register file, plus a
-//! command dispatcher over the emitted stub surface — and compiles the
-//! pair with the system `cc` (artifacts are content-hashed, so repeated
-//! runs and CI caches reuse the binary until the emitter or the spec
-//! changes). [`check_compiled`] then replays a fuzz op-stream through
-//! the compiled binary and through [`DeviceInstance`] and demands
-//! line-identical observations: every bus operation in order, every
-//! read result, and the final cache state (raw values, validity flags,
-//! memory cells).
+//! For one spec, [`Oracle::build`] emits the stub source for its
+//! [`Backend`] — the C header (`devil_codegen::emit_c`) or the Rust
+//! module (`devil_codegen::emit_rust`, see [`crate::compiled_rust`]) —
+//! wraps it in a generated harness — a bus shim replacing the port
+//! primitives with a logging register file, plus a command dispatcher
+//! over the emitted stub surface — and compiles the pair with `cc` or
+//! `rustc`. Artifacts are content-hashed, so repeated runs and CI caches
+//! reuse the binary until the emitter or the spec changes. Both
+//! harnesses speak one command protocol ([`commands`]) and print one
+//! observation-line format.
+//!
+//! [`check_compiled`] then replays an op stream — single accesses and
+//! [`Op::Super`] calls alike — through the compiled binary and through
+//! [`DeviceInstance`] ([`interp_observation`]) and root-compares the
+//! two line streams ([`rooted_verdict`]): every bus operation in order,
+//! every read result and superplan output, and the final cache state
+//! (raw values, validity flags, memory cells). A mismatch bisects to
+//! the first divergent line.
 //!
 //! Ops the stub surface cannot express (family variables, accesses
-//! without an emittable plan, block transfers) are filtered out of the
-//! stream — identically for both sides — by [`stub_ops`].
+//! without an emittable plan, block transfers, superplans without a
+//! compiled body) are filtered out of the stream — identically for both
+//! sides — by [`stub_ops`].
 
-use crate::superfuzz::SuperCall;
-use crate::Op;
+use crate::superfuzz::blocks_of;
+use crate::{Op, Rig};
 use devil_codegen::StubApi;
-use devil_ir::{DeviceIr, FuseOp};
+use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use hwsim::mmr::{self, bisect_divergence, Hash, Mmr};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// Whether a C compiler is reachable as `cc` (the oracle is skipped,
-/// loudly, where it is not).
-pub fn cc_available() -> bool {
-    Command::new("cc").arg("--version").stdout(Stdio::null()).stderr(Stdio::null()).status().is_ok()
+/// A stub back end the oracle can compile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// `emit_c` output, compiled with `cc`.
+    C,
+    /// `emit_rust` output, compiled with `rustc`.
+    Rust,
+}
+
+impl Backend {
+    /// The compiler this back end invokes.
+    fn compiler(self) -> &'static str {
+        match self {
+            Backend::C => "cc",
+            Backend::Rust => "rustc",
+        }
+    }
+
+    /// Whether the back end's compiler is reachable (the oracle is
+    /// skipped, loudly, where it is not).
+    pub fn available(self) -> bool {
+        Command::new(self.compiler())
+            .arg("--version")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .is_ok()
+    }
 }
 
 /// A per-spec compiled stub harness.
-pub struct CompiledStub {
+pub struct Oracle {
+    /// The back end the stubs were emitted for.
+    pub backend: Backend,
     /// Spec name (doubles as the C identifier prefix).
     pub name: String,
     /// Path of the compiled harness binary.
@@ -46,45 +80,99 @@ pub struct CompiledStub {
 /// register offset below. Must match the generated harness.
 const PORT_SHIFT: u64 = 40;
 
-impl CompiledStub {
+/// Runs one compiler invocation, turning a failure into its stderr.
+fn compile(name: &str, cmd: &mut Command) -> Result<(), String> {
+    let out = cmd.output().map_err(|e| format!("{cmd:?}: {e}"))?;
+    if !out.status.success() {
+        return Err(format!(
+            "{:?} failed for {name}:\n{}",
+            cmd.get_program(),
+            String::from_utf8_lossy(&out.stderr)
+        ));
+    }
+    Ok(())
+}
+
+fn write(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+impl Oracle {
     /// Emits, generates and compiles the harness for one spec into
     /// `dir`. The binary is content-hashed over the generated sources,
     /// so unchanged emitter + spec reuse the artifact.
-    pub fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<CompiledStub, String> {
+    pub fn build(
+        backend: Backend,
+        name: &str,
+        ir: &DeviceIr,
+        dir: &Path,
+    ) -> Result<Oracle, String> {
         let api = StubApi::of(ir);
-        let header = devil_codegen::emit_c(ir, name);
-        let harness = harness_c(ir, name, &api);
-        let hash = fnv1a(header.as_bytes()) ^ fnv1a(harness.as_bytes()).rotate_left(1);
+        // (binary prefix, stub + harness source, support source)
+        let (prefix, main, support) = match backend {
+            Backend::C => ("oracle", harness_c(ir, name, &api), devil_codegen::emit_c(ir, name)),
+            Backend::Rust => (
+                "roracle",
+                crate::compiled_rust::harness_rs(ir, &api, &devil_codegen::emit_rust(ir)),
+                crate::compiled_rust::shim_crate(),
+            ),
+        };
+        let hash = fnv1a(support.as_bytes()) ^ fnv1a(main.as_bytes()).rotate_left(1);
         let stem = format!("{name}_{hash:016x}");
-        let bin = dir.join(format!("oracle_{stem}"));
-        if bin.exists() {
-            return Ok(CompiledStub { name: name.into(), bin });
+        let bin = dir.join(format!("{prefix}_{stem}"));
+        let oracle = Oracle { backend, name: name.into(), bin };
+        if oracle.bin.exists() {
+            return Ok(oracle);
         }
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let h_path = dir.join(format!("{stem}.h"));
-        let c_path = dir.join(format!("{stem}.c"));
-        std::fs::write(&h_path, &header).map_err(|e| format!("{}: {e}", h_path.display()))?;
-        // The shim half of the harness precedes the include: the
-        // header's `static inline` superplan bodies must bind the bus
-        // primitives to the shim at their definition site, not only at
-        // the macro-stub use sites in `main`.
-        let full = harness.replace("@INCLUDE@", &format!("#include \"{stem}.h\""));
-        std::fs::write(&c_path, &full).map_err(|e| format!("{}: {e}", c_path.display()))?;
         // Compile to a temp name and rename, so concurrent builders
         // never observe a half-written binary.
-        let tmp = dir.join(format!("oracle_{stem}.tmp.{}", std::process::id()));
-        let out = Command::new("cc")
-            .arg("-O1")
-            .arg("-o")
-            .arg(&tmp)
-            .arg(&c_path)
-            .output()
-            .map_err(|e| format!("cc: {e}"))?;
-        if !out.status.success() {
-            return Err(format!("cc failed for {name}:\n{}", String::from_utf8_lossy(&out.stderr)));
+        let tmp = dir.join(format!("{prefix}_{stem}.tmp.{}", std::process::id()));
+        match backend {
+            Backend::C => {
+                let h_path = dir.join(format!("{stem}.h"));
+                let c_path = dir.join(format!("{stem}.c"));
+                write(&h_path, &support)?;
+                // The shim half of the harness precedes the include:
+                // the header's `static inline` superplan bodies must
+                // bind the bus primitives to the shim at their
+                // definition site, not only at the macro-stub use
+                // sites in `main`.
+                write(&c_path, &main.replace("@INCLUDE@", &format!("#include \"{stem}.h\"")))?;
+                compile(name, Command::new("cc").arg("-O1").arg("-o").arg(&tmp).arg(&c_path))?;
+            }
+            Backend::Rust => {
+                // The `devil_runtime` stand-in as an rlib, then the
+                // harness (the emitted module embedded verbatim) linked
+                // against it, so the module's `use devil_runtime::…`
+                // resolves exactly as against the real runtime.
+                let rt_src = dir.join(format!("{stem}_rt.rs"));
+                let rt_lib = dir.join(format!("lib{stem}_rt.rlib"));
+                let hs_src = dir.join(format!("{stem}.rs"));
+                write(&rt_src, &support)?;
+                write(&hs_src, &main)?;
+                let rustc = || {
+                    let mut c = Command::new("rustc");
+                    c.args(["--edition", "2021", "-O"]);
+                    c
+                };
+                compile(
+                    name,
+                    rustc()
+                        .args(["--crate-type", "rlib", "--crate-name", "devil_runtime", "-o"])
+                        .arg(&rt_lib)
+                        .arg(&rt_src),
+                )?;
+                let mut extern_rt = std::ffi::OsString::from("devil_runtime=");
+                extern_rt.push(&rt_lib);
+                compile(
+                    name,
+                    rustc().arg("--extern").arg(extern_rt).arg("-o").arg(&tmp).arg(&hs_src),
+                )?;
+            }
         }
-        std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-        Ok(CompiledStub { name: name.into(), bin })
+        std::fs::rename(&tmp, &oracle.bin).map_err(|e| format!("{}: {e}", oracle.bin.display()))?;
+        Ok(oracle)
     }
 
     /// Runs the harness over a command stream, returning its output
@@ -105,7 +193,8 @@ impl CompiledStub {
         let _ = writer.join();
         if !out.status.success() {
             return Err(format!(
-                "harness for {} exited with {:?}:\n{}",
+                "{:?} harness for {} exited with {:?}:\n{}",
+                self.backend,
                 self.name,
                 out.status.code(),
                 String::from_utf8_lossy(&out.stderr)
@@ -115,7 +204,7 @@ impl CompiledStub {
     }
 }
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -145,115 +234,109 @@ pub fn stub_ops(ir: &DeviceIr, api: &StubApi, ops: &[Op]) -> Vec<Op> {
             }
             Op::Preset { .. } => true,
             Op::ReadBlock { .. } | Op::WriteBlock { .. } => false,
+            Op::Super(call) => api.emits_superplan(call.sid),
         })
         .cloned()
         .collect()
 }
 
-/// Renders a filtered op stream as the harness's command protocol.
+/// Renders a filtered op stream as the harness's command protocol,
+/// ending with the `D` state dump.
 pub fn commands(ir: &DeviceIr, api: &StubApi, ops: &[Op]) -> String {
+    use std::fmt::Write as _;
     let mut out = String::new();
-    op_commands(ir, api, ops, &mut out);
+    for op in ops {
+        let _ = match op {
+            Op::Preset { port, offset, value } => writeln!(out, "P {port} {offset} {value}"),
+            Op::ReadVar { vid, .. } => {
+                let k = api.read_vars.iter().position(|v| v == vid).expect("filtered");
+                writeln!(out, "RV {k}")
+            }
+            Op::WriteVar { vid, value, .. } => {
+                let k = api.write_vars.iter().position(|v| v == vid).expect("filtered");
+                writeln!(out, "WV {k} {value}")
+            }
+            Op::ReadStruct { sid } => {
+                let k = api.read_structs.iter().position(|s| s == sid).expect("filtered");
+                writeln!(out, "RS {k}")
+            }
+            Op::WriteStruct { sid, values } => {
+                let k = api.write_structs.iter().position(|s| s == sid).expect("filtered");
+                let _ = write!(out, "WS {k}");
+                // Values in struct-field order, as the harness stages.
+                for &fid in ir.strct(*sid).fields.iter() {
+                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
+                    let _ = write!(out, " {v}");
+                }
+                writeln!(out)
+            }
+            Op::Super(call) => {
+                // `SP` dispatch with operands, then the block payload
+                // and the read-block length where the superplan has
+                // those ops.
+                let k = api.superplans.iter().position(|&s| s == call.sid).expect("filtered");
+                let _ = write!(out, "SP {k}");
+                for &a in &call.args {
+                    let _ = write!(out, " {a}");
+                }
+                let (has_out, has_in) = blocks_of(ir, call.sid);
+                if has_out {
+                    let _ = write!(out, " {}", call.block_out.len());
+                    for &w in &call.block_out {
+                        let _ = write!(out, " {w}");
+                    }
+                }
+                if has_in {
+                    let _ = write!(out, " {}", call.block_in_len);
+                }
+                writeln!(out)
+            }
+            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+        };
+    }
     out.push_str("D\n");
     out
 }
 
-fn op_commands(ir: &DeviceIr, api: &StubApi, ops: &[Op], out: &mut String) {
-    for op in ops {
-        match op {
-            Op::Preset { port, offset, value } => {
-                out.push_str(&format!("P {port} {offset} {value}\n"));
-            }
-            Op::ReadVar { vid, .. } => {
-                let k = api.read_vars.iter().position(|v| v == vid).expect("filtered");
-                out.push_str(&format!("RV {k}\n"));
-            }
-            Op::WriteVar { vid, value, .. } => {
-                let k = api.write_vars.iter().position(|v| v == vid).expect("filtered");
-                out.push_str(&format!("WV {k} {value}\n"));
-            }
-            Op::ReadStruct { sid } => {
-                let k = api.read_structs.iter().position(|s| s == sid).expect("filtered");
-                out.push_str(&format!("RS {k}\n"));
-            }
-            Op::WriteStruct { sid, values } => {
-                let k = api.write_structs.iter().position(|s| s == sid).expect("filtered");
-                out.push_str(&format!("WS {k}"));
-                // Values in struct-field order, as the harness stages.
-                for &fid in ir.strct(*sid).fields.iter() {
-                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                    out.push_str(&format!(" {v}"));
-                }
-                out.push('\n');
-            }
-            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
-        }
-    }
-}
-
 /// Replays a filtered op stream through the fast-path interpreter,
-/// producing the canonical observation lines the harness must match:
-/// interleaved bus traffic and results, then the final cache dump.
+/// superplan calls fused, producing the canonical observation lines the
+/// harness must match: interleaved bus traffic and results (superplan
+/// outputs and read-block words included), then the final cache dump.
 pub fn interp_observation(ir: &DeviceIr, ops: &[Op]) -> Vec<String> {
     let mut inst = DeviceInstance::new(ir.clone());
     let mut dev = FakeAccess::new();
     let mut out = Vec::new();
     let mut logged = 0usize;
-    interp_ops(ir, &mut inst, &mut dev, ops, &mut out, &mut logged);
-    dump_state(ir, &inst, &mut out);
-    out
-}
-
-fn flush_bus(dev: &FakeAccess, out: &mut Vec<String>, logged: &mut usize) {
-    for &(w, port, offset, value) in &dev.log[*logged..] {
-        out.push(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
-    }
-    *logged = dev.log.len();
-}
-
-fn interp_ops(
-    ir: &DeviceIr,
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    ops: &[Op],
-    out: &mut Vec<String>,
-    logged: &mut usize,
-) {
     for op in ops {
-        match op {
-            Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
-            Op::ReadVar { vid, args } => {
-                let r = inst.read_id(dev, *vid, args);
-                flush_bus(dev, out, logged);
-                out.push(match r {
-                    Ok(v) => format!("O r{} {v}", vid.0),
-                    Err(e) => format!("O r{} ERR {e:?}", vid.0),
-                });
+        let line = match op {
+            Op::Preset { port, offset, value } => {
+                dev.preset(*port, *offset, *value);
+                continue;
             }
+            Op::ReadVar { vid, args } => match inst.read_id(&mut dev, *vid, args) {
+                Ok(v) => format!("O r{} {v}", vid.0),
+                Err(e) => format!("O r{} ERR {e:?}", vid.0),
+            },
             Op::WriteVar { vid, args, value } => {
-                let r = inst.write_id(dev, *vid, args, *value);
-                flush_bus(dev, out, logged);
-                out.push(match r {
+                match inst.write_id(&mut dev, *vid, args, *value) {
                     Ok(()) => format!("O w{} ok", vid.0),
                     Err(e) => format!("O w{} ERR {e:?}", vid.0),
-                });
+                }
             }
-            Op::ReadStruct { sid } => {
-                let r = inst.read_struct_id(dev, *sid);
-                flush_bus(dev, out, logged);
-                out.push(match &r {
-                    Ok(()) => format!("O rs{} ok", sid.0),
-                    Err(e) => format!("O rs{} ERR {e:?}", sid.0),
-                });
-                if r.is_ok() {
+            Op::ReadStruct { sid } => match inst.read_struct_id(&mut dev, *sid) {
+                Ok(()) => {
+                    flush_bus(&dev, &mut out, &mut logged);
+                    out.push(format!("O rs{} ok", sid.0));
                     for &fid in ir.strct(*sid).fields.iter() {
                         out.push(match inst.get_field_id(fid) {
                             Ok(v) => format!("O f{} {v}", fid.0),
                             Err(e) => format!("O f{} ERR {e:?}", fid.0),
                         });
                     }
+                    continue;
                 }
-            }
+                Err(e) => format!("O rs{} ERR {e:?}", sid.0),
+            },
             Op::WriteStruct { sid, values } => {
                 let mut failed = None;
                 for &fid in ir.strct(*sid).fields.iter() {
@@ -263,16 +346,36 @@ fn interp_ops(
                         break;
                     }
                 }
-                let line = failed.unwrap_or_else(|| match inst.write_struct_id(dev, *sid) {
+                failed.unwrap_or_else(|| match inst.write_struct_id(&mut dev, *sid) {
                     Ok(()) => format!("O ws{} ok", sid.0),
                     Err(e) => format!("O ws{} ERR {e:?}", sid.0),
+                })
+            }
+            Op::Super(call) => {
+                let (r, outs, block_in) = call.run(Rig::Fast, &mut inst, &mut dev);
+                flush_bus(&dev, &mut out, &mut logged);
+                out.push(match r {
+                    Ok(()) => format!("O sp{} ok", call.sid),
+                    Err(e) => format!("O sp{} ERR {e:?}", call.sid),
                 });
-                flush_bus(dev, out, logged);
-                out.push(line);
+                out.extend(outs.iter().enumerate().map(|(j, v)| format!("O o{j} {v}")));
+                out.extend(block_in.iter().map(|v| format!("O bi {v}")));
+                continue;
             }
             Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
-        }
+        };
+        flush_bus(&dev, &mut out, &mut logged);
+        out.push(line);
     }
+    dump_state(ir, &inst, &mut out);
+    out
+}
+
+fn flush_bus(dev: &FakeAccess, out: &mut Vec<String>, logged: &mut usize) {
+    for &(w, port, offset, value) in &dev.log[*logged..] {
+        out.push(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
+    }
+    *logged = dev.log.len();
 }
 
 /// The final cache dump, in the exact order the harness prints it.
@@ -455,8 +558,7 @@ pub fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
     let _ = writeln!(c, "            switch (k) {{");
     for (k, &si) in api.superplans.iter().enumerate() {
         let sp = &ir.superplans()[si];
-        let has_out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
-        let has_in = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
+        let (has_out, has_in) = blocks_of(ir, si);
         let _ = writeln!(c, "            case {k}: {{");
         let _ = writeln!(c, "                unsigned long long a[{}];", sp.args.max(1));
         let _ = writeln!(c, "                unsigned long long outs[{}];", sp.outputs.max(1));
@@ -530,109 +632,28 @@ pub fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
     c
 }
 
-/// Filters a superplan call stream down to the fused stub surface:
-/// calls to emittable superplans only, with their op preludes cut to
-/// the stub subset — identically for both sides of the oracle.
-pub fn super_stub_seq(
+/// Replays `ops` (pre-filtering them to the stub surface) through the
+/// compiled stubs and the fast-path interpreter and root-compares the
+/// two observation streams: identical bus logs, results, superplan
+/// outputs and read-block contents, and final cache state.
+pub fn check_compiled(
+    oracle: &Oracle,
     ir: &DeviceIr,
     api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Vec<(Vec<Op>, SuperCall)> {
-    seq.iter()
-        .filter(|(_, call)| api.emits_superplan(call.sid))
-        .map(|(pre, call)| (stub_ops(ir, api, pre), call.clone()))
-        .collect()
-}
-
-/// Renders a filtered superplan call stream as the harness's command
-/// protocol: each prelude's op commands, then an `SP` dispatch with
-/// operands and block payloads.
-pub fn super_commands(ir: &DeviceIr, api: &StubApi, seq: &[(Vec<Op>, SuperCall)]) -> String {
-    let mut out = String::new();
-    for (pre, call) in seq {
-        op_commands(ir, api, pre, &mut out);
-        let k = api.superplans.iter().position(|&s| s == call.sid).expect("filtered");
-        out.push_str(&format!("SP {k}"));
-        for &a in &call.args {
-            out.push_str(&format!(" {a}"));
-        }
-        let sp = &ir.superplans()[call.sid];
-        if sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. })) {
-            out.push_str(&format!(" {}", call.block_out.len()));
-            for &w in &call.block_out {
-                out.push_str(&format!(" {w}"));
-            }
-        }
-        if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
-            out.push_str(&format!(" {}", call.block_in_len));
-        }
-        out.push('\n');
-    }
-    out.push_str("D\n");
-    out
-}
-
-/// Replays a filtered superplan call stream through the fused
-/// interpreter path, producing the canonical observation lines the
-/// compiled harness must match: bus traffic, the dispatch marker,
-/// outputs and read-block words, then the final cache dump.
-pub fn interp_super_observation(ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)]) -> Vec<String> {
-    let mut inst = DeviceInstance::new(ir.clone());
-    let mut dev = FakeAccess::new();
-    let mut out = Vec::new();
-    let mut logged = 0usize;
-    for (pre, call) in seq {
-        interp_ops(ir, &mut inst, &mut dev, pre, &mut out, &mut logged);
-        let sp = &ir.superplans()[call.sid];
-        let mut block_in = vec![0u64; call.block_in_len];
-        let mut outs = vec![0u64; sp.outputs];
-        inst.run_superplan(
-            &mut dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        )
-        .unwrap_or_else(|e| panic!("superplan `{}` failed in the oracle: {e:?}", sp.name));
-        flush_bus(&dev, &mut out, &mut logged);
-        out.push(format!("O sp{} ok", call.sid));
-        for (j, v) in outs.iter().enumerate() {
-            out.push(format!("O o{j} {v}"));
-        }
-        for v in &block_in {
-            out.push(format!("O bi {v}"));
-        }
-    }
-    dump_state(ir, &inst, &mut out);
-    out
-}
-
-/// Replays a superplan call stream (pre-filtering to the fused stub
-/// surface) through the compiled superplan bodies and the fused
-/// interpreter path, demanding identical bus logs, outputs, read-block
-/// contents and final cache state.
-pub fn check_compiled_super(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<(), String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want = interp_super_observation(ir, &kept);
-    let got = stub.run(super_commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled superplans diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
+    ops: &[Op],
+) -> Result<Hash, String> {
+    let kept = stub_ops(ir, api, ops);
+    let want = interp_observation(ir, &kept);
+    let got = oracle.run(commands(ir, api, &kept))?;
+    let surface = match oracle.backend {
+        Backend::C => "C stubs",
+        Backend::Rust => "Rust stubs",
+    };
+    rooted_verdict(&oracle.name, surface, &want, &got)
 }
 
 /// The first differing line between the two observation streams.
-pub(crate) fn first_line_diff(want: &[String], got: &[String]) -> String {
+fn first_line_diff(want: &[String], got: &[String]) -> String {
     for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
         if w != g {
             return format!("line {i}:\n  interpreter: {w}\n  compiled:    {g}");
@@ -659,40 +680,10 @@ fn lines_mmr(lines: &[String]) -> Mmr {
     m
 }
 
-/// Root-compare mode of the compiled oracle: both observation streams
-/// condense to one MMR root each. On mismatch, peak bisection names
-/// the first divergent observation line before the linear diff renders
-/// the reporting window.
-pub fn check_compiled_rooted(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<Hash, String> {
-    let kept = stub_ops(ir, api, ops);
-    let want_lines = interp_observation(ir, &kept);
-    let got_lines = stub.run(commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "stubs", &want_lines, &got_lines)
-}
-
-/// Root-compare mode over superplan call streams: the compiled fused
-/// bodies against the fused interpreter path.
-pub fn check_compiled_super_rooted(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<Hash, String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want_lines = interp_super_observation(ir, &kept);
-    let got_lines = stub.run(super_commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "superplans", &want_lines, &got_lines)
-}
-
-/// The root-compare core: hashes both observation streams into MMRs,
-/// returns the agreed root or an error naming the bisected first
-/// divergent line. Public so sensitivity tests can inject skewed
-/// streams directly.
+/// The root-compare core of [`check_compiled`]: hashes both observation
+/// streams into MMRs, returns the agreed root or an error naming the
+/// bisected first divergent line. Public so sensitivity tests can
+/// inject skewed streams directly.
 pub fn rooted_verdict(
     name: &str,
     surface: &str,
@@ -715,26 +706,4 @@ pub fn rooted_verdict(
         got_lines.get(i).map_or("<stream ended>", String::as_str),
         first_line_diff(want_lines, got_lines),
     ))
-}
-
-/// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled stubs and the fast-path interpreter, demanding identical
-/// bus logs, results and final cache state.
-pub fn check_compiled(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<(), String> {
-    let kept = stub_ops(ir, api, ops);
-    let want = interp_observation(ir, &kept);
-    let got = stub.run(commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled stubs diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
 }

@@ -1,23 +1,16 @@
-//! The compiled-**Rust** differential oracle: the second emitted back
-//! end, actually executed.
+//! The Rust half of the compiled oracle: the generated sources
+//! [`crate::compiled::Oracle::build`] compiles for [`Backend::Rust`].
 //!
-//! The Rust twin of [`crate::compiled`]: for one spec,
-//! [`CompiledRustStub::build`] emits the Rust module
-//! (`devil_codegen::emit_rust`), pairs it with a generated harness —
-//! a logging [`devil_runtime::DeviceAccess`] shim crate standing in
-//! for the real runtime (the `DEVIL_NO_SYS_IO` gate of the C oracle,
-//! expressed as trait injection: the generated code can only reach a
-//! bus through the trait, and the oracle hands it a pure register
-//! file), plus a command dispatcher over the emitted stub surface —
-//! and compiles the pair with `rustc`. Artifacts are content-hashed
-//! like the C oracle's, so unchanged emitter + spec reuse the binary.
-//!
-//! The harness speaks the *same* command protocol and emits the *same*
-//! observation lines as the C harness, so [`check_compiled_rust`]
-//! reuses the interpreter-side observation builders and the rooted
-//! (MMR) verdict of [`crate::compiled`] unchanged: every bus operation
-//! in order, every result, and the final cache/cell state must be
-//! line-identical to the fast-path interpreter.
+//! The emitted Rust module (`devil_codegen::emit_rust`) is paired with
+//! a generated harness — a logging [`devil_runtime::DeviceAccess`] shim
+//! crate standing in for the real runtime (the `DEVIL_NO_SYS_IO` gate
+//! of the C harness, expressed as trait injection: the generated code
+//! can only reach a bus through the trait, and the oracle hands it a
+//! pure register file), plus a command dispatcher over the emitted stub
+//! surface. The harness is per language; the command protocol it reads
+//! ([`crate::compiled::commands`]) and the observation lines it prints
+//! are the C harness's, so [`crate::compiled::check_compiled`] compares
+//! either back end against the same interpreter-side observation.
 //!
 //! One emitter asymmetry is bridged here rather than hidden: emitted
 //! Rust getters sign-extend `signed` variables (they return `i64`),
@@ -25,135 +18,21 @@
 //! traffic in raw masked bits. The harness masks signed results back
 //! to their declared width before printing, so observation lines stay
 //! comparable without weakening the generated API.
+//!
+//! [`Backend::Rust`]: crate::compiled::Backend::Rust
 
-use crate::compiled::{
-    commands, first_line_diff, fnv1a, interp_observation, interp_super_observation, rooted_verdict,
-    stub_ops, super_commands, super_stub_seq,
-};
-use crate::superfuzz::SuperCall;
-use crate::Op;
+use crate::superfuzz::blocks_of;
 use devil_codegen::StubApi;
-use devil_ir::{DeviceIr, FuseOp};
+use devil_ir::DeviceIr;
 use devil_sema::model::TypeSem;
-use hwsim::mmr::Hash;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-
-/// Whether `rustc` is reachable (the oracle is skipped, loudly, where
-/// it is not).
-pub fn rustc_available() -> bool {
-    Command::new("rustc")
-        .arg("--version")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .is_ok()
-}
-
-/// A per-spec compiled Rust stub harness.
-pub struct CompiledRustStub {
-    /// Spec name.
-    pub name: String,
-    /// Path of the compiled harness binary.
-    pub bin: PathBuf,
-}
-
-impl CompiledRustStub {
-    /// Emits, generates and compiles the Rust harness for one spec into
-    /// `dir`: first the `devil_runtime` stand-in as an rlib, then the
-    /// harness (with the emitted module embedded verbatim) linked
-    /// against it, so the module's `use devil_runtime::…` header
-    /// resolves exactly as it would against the real runtime.
-    pub fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<CompiledRustStub, String> {
-        let api = StubApi::of(ir);
-        let module = devil_codegen::emit_rust(ir);
-        let shim = shim_crate();
-        let harness = harness_rs(ir, &api, &module);
-        let hash = fnv1a(harness.as_bytes()) ^ fnv1a(shim.as_bytes()).rotate_left(1);
-        let stem = format!("{name}_{hash:016x}");
-        let bin = dir.join(format!("roracle_{stem}"));
-        if bin.exists() {
-            return Ok(CompiledRustStub { name: name.into(), bin });
-        }
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let rt_src = dir.join(format!("{stem}_rt.rs"));
-        let rt_lib = dir.join(format!("lib{stem}_rt.rlib"));
-        let hs_src = dir.join(format!("{stem}.rs"));
-        std::fs::write(&rt_src, &shim).map_err(|e| format!("{}: {e}", rt_src.display()))?;
-        std::fs::write(&hs_src, &harness).map_err(|e| format!("{}: {e}", hs_src.display()))?;
-        let rustc = |args: &[&str]| -> Result<(), String> {
-            let out = Command::new("rustc")
-                .args(["--edition", "2021", "-O"])
-                .args(args)
-                .output()
-                .map_err(|e| format!("rustc: {e}"))?;
-            if !out.status.success() {
-                return Err(format!(
-                    "rustc failed for {name}:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                ));
-            }
-            Ok(())
-        };
-        rustc(&[
-            "--crate-type",
-            "rlib",
-            "--crate-name",
-            "devil_runtime",
-            "-o",
-            rt_lib.to_str().expect("utf8 path"),
-            rt_src.to_str().expect("utf8 path"),
-        ])?;
-        // Compile to a temp name and rename, so concurrent builders
-        // never observe a half-written binary.
-        let tmp = dir.join(format!("roracle_{stem}.tmp.{}", std::process::id()));
-        rustc(&[
-            "--extern",
-            &format!("devil_runtime={}", rt_lib.display()),
-            "-o",
-            tmp.to_str().expect("utf8 path"),
-            hs_src.to_str().expect("utf8 path"),
-        ])?;
-        std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-        Ok(CompiledRustStub { name: name.into(), bin })
-    }
-
-    /// Runs the harness over a command stream, returning its output
-    /// lines. Stdin is fed from a thread so large streams cannot
-    /// deadlock against a full stdout pipe.
-    pub fn run(&self, commands: String) -> Result<Vec<String>, String> {
-        let mut child = Command::new(&self.bin)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("{}: {e}", self.bin.display()))?;
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        let writer = std::thread::spawn(move || {
-            let _ = stdin.write_all(commands.as_bytes());
-        });
-        let out = child.wait_with_output().map_err(|e| format!("harness: {e}"))?;
-        let _ = writer.join();
-        if !out.status.success() {
-            return Err(format!(
-                "rust harness for {} exited with {:?}:\n{}",
-                self.name,
-                out.status.code(),
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect())
-    }
-}
 
 /// The `devil_runtime` stand-in the emitted module links against: the
 /// [`devil_runtime::DeviceAccess`] trait (same signatures, same
 /// per-word block defaults as `FakeAccess`) and `sign_extend`. Nothing
 /// else — the generated code gets no bus except what the harness
 /// injects.
-fn shim_crate() -> String {
+pub(crate) fn shim_crate() -> String {
     r#"// devil_runtime stand-in for the compiled-Rust oracle.
 pub trait DeviceAccess {
     fn read(&mut self, port: usize, offset: u64, width_bits: u32) -> u64;
@@ -204,7 +83,7 @@ fn print_expr(ir: &DeviceIr, vid: devil_sema::model::VarId, call: &str) -> Strin
 
 /// Generates the Rust harness around an emitted module: the logging bus
 /// shim plus a command dispatcher speaking the C harness's protocol.
-fn harness_rs(ir: &DeviceIr, api: &StubApi, module: &str) -> String {
+pub(crate) fn harness_rs(ir: &DeviceIr, api: &StubApi, module: &str) -> String {
     let ty = camel(&ir.name);
     let mut h = String::new();
     let _ = writeln!(h, "// Command harness for the compiled-Rust oracle. Generated; do not edit.");
@@ -366,8 +245,7 @@ fn main() {{
     let _ = writeln!(h, "            \"SP\" => match toks.num() {{");
     for (k, &si) in api.superplans.iter().enumerate() {
         let sp = &ir.superplans()[si];
-        let has_out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
-        let has_in = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
+        let (has_out, has_in) = blocks_of(ir, si);
         let _ = writeln!(h, "                {k} => {{");
         for i in 0..sp.args {
             let _ = writeln!(h, "                    let a{i} = toks.num();");
@@ -455,76 +333,4 @@ fn camel(s: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled Rust stubs and the fast-path interpreter, demanding
-/// identical bus logs, results and final cache state.
-pub fn check_compiled_rust(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<(), String> {
-    let kept = stub_ops(ir, api, ops);
-    let want = interp_observation(ir, &kept);
-    let got = stub.run(commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled Rust stubs diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
-}
-
-/// Replays a superplan call stream (pre-filtering to the fused stub
-/// surface) through the compiled Rust superplan bodies and the fused
-/// interpreter path.
-pub fn check_compiled_rust_super(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<(), String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want = interp_super_observation(ir, &kept);
-    let got = stub.run(super_commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled Rust superplans diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
-}
-
-/// Root-compare mode of the Rust oracle: both observation streams
-/// condense to one MMR root each; a mismatch bisects to the first
-/// divergent observation line.
-pub fn check_compiled_rust_rooted(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<Hash, String> {
-    let kept = stub_ops(ir, api, ops);
-    let want_lines = interp_observation(ir, &kept);
-    let got_lines = stub.run(commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "Rust stubs", &want_lines, &got_lines)
-}
-
-/// Root-compare mode over superplan call streams.
-pub fn check_compiled_rust_super_rooted(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<Hash, String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want_lines = interp_super_observation(ir, &kept);
-    let got_lines = stub.run(super_commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "Rust superplans", &want_lines, &got_lines)
 }

@@ -25,7 +25,7 @@
 //! are the compiled surface the paper's claim is about.
 
 use crate::superfuzz::decode_super;
-use crate::{decode, run_op};
+use crate::{decode, run_op, Rig};
 use devil_ir::DeviceIr;
 use devil_runtime::{AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FakeAccess};
 use devil_sema::model::{StructId, VarId};
@@ -264,25 +264,9 @@ pub fn covered_records(ir: &DeviceIr, words: &[u64]) -> Vec<DispatchRecord> {
     inst.set_dispatch_trace(true);
     let mut dev = FakeAccess::new();
     let mut obs = Vec::new();
-    for op in decode(ir, words) {
-        run_op(&mut inst, &mut dev, &op, &mut obs);
+    for op in decode(ir, words).iter().chain(&decode_super(ir, words)) {
+        run_op(Rig::Fast, &mut inst, &mut dev, op, &mut obs);
         obs.clear();
-    }
-    for (pre, call) in decode_super(ir, words) {
-        for op in &pre {
-            run_op(&mut inst, &mut dev, op, &mut obs);
-            obs.clear();
-        }
-        let mut block_in = vec![0u64; call.block_in_len];
-        let mut outs = vec![0u64; ir.superplans()[call.sid].outputs];
-        let _ = inst.run_superplan(
-            &mut dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        );
     }
     inst.take_dispatch_trace()
 }

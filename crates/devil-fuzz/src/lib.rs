@@ -1,12 +1,25 @@
 //! Differential fuzzing harness for the Devil runtime.
 //!
 //! The fast path (precompiled [`devil_ir`] plans, indexed flat cache
-//! slots) and the general interpreter must be observationally
-//! indistinguishable: same device-visible bus traffic, same final
-//! device state, same results and errors. This crate turns a raw
-//! stream of random words into a valid-ish [`Op`] sequence over a
-//! lowered device, replays it through both interpreter modes, and
-//! diffs everything the device or the caller could observe.
+//! slots), the general interpreter, the fused superplans and the
+//! emitted C and Rust stubs must be observationally indistinguishable:
+//! same device-visible bus traffic, same final device state, same
+//! results and errors. This crate turns a raw stream of random words
+//! into a valid-ish [`Op`] sequence over a lowered device — single
+//! accesses and, through [`superfuzz::decode_super`], fused
+//! [`Op::Super`] calls — replays it through two rigs, and diffs
+//! everything the device or the caller could observe.
+//!
+//! Four comparators cover every pair:
+//!
+//! * [`check_equivalence`] — linear, [`Rig::Fast`] vs [`Rig::General`],
+//!   every observation retained;
+//! * [`rooted::compare`] — any two in-process [`Rig`]s, one MMR root
+//!   per rig, bisection to the first divergent op on a mismatch;
+//! * [`rooted::check_equivalence_rooted_stream`] — `compare(Fast,
+//!   General)` over a generated stream that is never materialized;
+//! * [`compiled::check_compiled`] — a compiled C or Rust stub binary
+//!   ([`compiled::Oracle`]) against the fast path, line for line.
 //!
 //! The generator is deliberately a pure function of the word stream,
 //! so a failing proptest case is replayable from its printed seed
@@ -17,6 +30,7 @@
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use devil_sema::model::{Offset, StructId, VarId};
+use superfuzz::SuperCall;
 
 pub mod compiled;
 pub mod compiled_rust;
@@ -81,6 +95,41 @@ pub enum Op {
         /// New raw value.
         value: u64,
     },
+    /// One fused-sequence call: `run_superplan`, or
+    /// `run_superplan_unfused` on [`Rig::Unfused`]. Boxed so the other
+    /// variants keep `Op` at 40 bytes.
+    Super(Box<SuperCall>),
+}
+
+/// One in-process replay configuration of the runtime.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rig {
+    /// Precompiled plans on, superplan calls fused.
+    Fast,
+    /// The general interpreter (`set_fast_plans(false)`).
+    General,
+    /// Plans on, superplan calls through `run_superplan_unfused`.
+    Unfused,
+}
+
+impl Rig {
+    /// A fresh instance of `ir` configured for this rig.
+    pub fn instance(self, ir: &DeviceIr) -> DeviceInstance {
+        let mut inst = DeviceInstance::new(ir.clone());
+        if self == Rig::General {
+            inst.set_fast_plans(false);
+        }
+        inst
+    }
+
+    /// The label failure reports use for this rig.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Rig::Fast => "fast",
+            Rig::General => "general",
+            Rig::Unfused => "unfused",
+        }
+    }
 }
 
 /// A cursor over the raw word stream; exhausted reads return 0 so
@@ -318,21 +367,27 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
     ops
 }
 
-/// Replays `ops` against one instance, recording everything a caller
-/// observes (values, errors) as comparable strings.
-pub fn run(inst: &mut DeviceInstance, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String> {
+/// Replays `ops` against one instance of `rig`, recording everything a
+/// caller observes (values, errors) as comparable strings.
+pub fn run(rig: Rig, inst: &mut DeviceInstance, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String> {
     let mut obs = Vec::with_capacity(ops.len());
     for op in ops {
-        run_op(inst, dev, op, &mut obs);
+        run_op(rig, inst, dev, op, &mut obs);
     }
     obs
 }
 
 /// Replays one op, appending its caller observations to `out`. The
 /// streaming rooted harness reuses one buffer across millions of ops;
-/// [`run`] is the collect-everything wrapper the linear comparators
-/// keep using.
-pub fn run_op(inst: &mut DeviceInstance, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
+/// [`run`] is the collect-everything wrapper the linear comparator
+/// uses. `rig` only decides how an [`Op::Super`] dispatches.
+pub fn run_op(
+    rig: Rig,
+    inst: &mut DeviceInstance,
+    dev: &mut FakeAccess,
+    op: &Op,
+    out: &mut Vec<String>,
+) {
     match op {
         Op::ReadVar { vid, args } => {
             out.push(format!("read {vid:?} {args:?} -> {:?}", inst.read_id(dev, *vid, args)));
@@ -376,6 +431,13 @@ pub fn run_op(inst: &mut DeviceInstance, dev: &mut FakeAccess, op: &Op, out: &mu
             dev.preset(*port, *offset, *value);
             out.push(format!("preset {port} {offset:#x} {value:#x}"));
         }
+        Op::Super(call) => {
+            let (r, outs, block_in) = call.run(rig, inst, dev);
+            out.push(format!(
+                "super {} {:x?} -> {r:?} outs {outs:x?} in {block_in:x?}",
+                call.sid, call.args
+            ));
+        }
     }
 }
 
@@ -408,16 +470,17 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 /// Replays `ops` through the fast-plan and the general interpreter and
 /// verifies they are indistinguishable: identical caller observations,
 /// identical device-visible operation log, identical final device
-/// state, and identical residual reads (cache coherence probe).
+/// state, and identical residual reads (cache coherence probe). The
+/// linear twin of [`rooted::compare`]`(Fast, General)`: it retains
+/// every line, which is still cheaper below ~100k ops.
 pub fn check_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<(), String> {
-    let mut fast = DeviceInstance::new(ir.clone());
+    let mut fast = Rig::Fast.instance(ir);
     let mut fast_dev = FakeAccess::new();
-    let mut slow = DeviceInstance::new(ir.clone());
-    slow.set_fast_plans(false);
+    let mut slow = Rig::General.instance(ir);
     let mut slow_dev = FakeAccess::new();
 
-    let obs_fast = run(&mut fast, &mut fast_dev, ops);
-    let obs_slow = run(&mut slow, &mut slow_dev, ops);
+    let obs_fast = run(Rig::Fast, &mut fast, &mut fast_dev, ops);
+    let obs_slow = run(Rig::General, &mut slow, &mut slow_dev, ops);
     if obs_fast != obs_slow {
         return Err(format!("observations diverge at {}", first_diff(&obs_fast, &obs_slow)));
     }
@@ -437,8 +500,8 @@ pub fn check_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<(), String> {
     // variable once more must agree (catches silent cache divergence
     // that the op sequence itself did not observe).
     let probe = probe_ops(ir);
-    let probe_fast = run(&mut fast, &mut fast_dev, &probe);
-    let probe_slow = run(&mut slow, &mut slow_dev, &probe);
+    let probe_fast = run(Rig::Fast, &mut fast, &mut fast_dev, &probe);
+    let probe_slow = run(Rig::General, &mut slow, &mut slow_dev, &probe);
     if probe_fast != probe_slow {
         return Err(format!(
             "cache-coherence probe diverges at {}",
@@ -466,6 +529,11 @@ mod tests {
         register f(i : int{0..1}) = base @ i : bit[8];
         variable fv(i : int{0..1}) = f(i), volatile : int(8);
     }"#;
+
+    #[test]
+    fn boxed_superplan_calls_keep_op_at_40_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 40);
+    }
 
     #[test]
     fn decode_is_deterministic_and_total() {

@@ -1,26 +1,29 @@
-//! Root-compare equivalence: the fast-vs-general differential over an
-//! MMR-authenticated trace instead of retained observation logs.
+//! Root-compare equivalence: the differential between any two
+//! in-process [`Rig`]s over an MMR-authenticated trace instead of
+//! retained observation logs.
 //!
 //! The linear comparator ([`crate::check_equivalence`]) keeps every
 //! observation string and every device-log tuple from both rigs alive
 //! until the end — memory grows with replay length, which is what
 //! capped differential runs at tens of thousands of ops. Here each op
-//! folds to one MMR leaf (its observation lines plus its device-op log
-//! delta, so the leaf index *is* the op index), both rigs stream in
-//! O(peaks) memory, and "bit-identical over N million ops" is one
-//! 32-byte root compare.
+//! (a single access or one [`Op::Super`] call) folds to one MMR leaf —
+//! its observation lines plus its device-op log delta, so the leaf
+//! index *is* the op index — both rigs stream in O(peaks) memory, and
+//! "bit-identical over N million ops" is one 32-byte root compare.
 //!
-//! On a root mismatch the harness re-replays in retained mode —
-//! replays are pure functions of the op source, so this only costs the
-//! failing case — and [`bisect_divergence`] names the first divergent
-//! op in O(log N) hash compares; a third, windowed replay then
-//! recovers the human-readable lines around that op for the report.
+//! [`compare`] takes the rig pair as an input: fast vs general,
+//! fused vs unfused, or any other pairing. On a root mismatch it
+//! re-replays in retained mode — replays are pure functions of the op
+//! source, so this only costs the failing case — and
+//! [`bisect_divergence`] names the first divergent op in O(log N) hash
+//! compares; a third, windowed replay then recovers the human-readable
+//! lines around that op for the report, labelled with the rig names.
 //!
 //! Replay length for the long-run tests comes from the `DIFF_OPS` env
 //! knob (mirroring `PROPTEST_CASES`), so CI nightlies push millions of
 //! ops while PR runs stay fast.
 
-use crate::{probe_ops, run_op, Op};
+use crate::{probe_ops, run_op, Op, Rig};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
@@ -28,9 +31,18 @@ use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
 /// Replay length for long-run differential tests: `DIFF_OPS` from the
 /// environment, or `default`.
 pub fn diff_ops(default: u64) -> u64 {
-    match std::env::var("DIFF_OPS") {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("DIFF_OPS must be an integer, got {v:?}")),
-        Err(_) => default,
+    parse_diff_ops(std::env::var("DIFF_OPS").ok().as_deref(), default)
+}
+
+/// The `DIFF_OPS` parse behind [`diff_ops`], on an explicit value.
+///
+/// # Panics
+///
+/// Panics when `var` is set but not an integer.
+fn parse_diff_ops(var: Option<&str>, default: u64) -> u64 {
+    match var {
+        Some(v) => v.parse().unwrap_or_else(|_| panic!("DIFF_OPS must be an integer, got {v:?}")),
+        None => default,
     }
 }
 
@@ -119,16 +131,13 @@ struct Replay {
 /// bisection sensitivity tests use to fake a single-op divergence.
 fn replay<I: Iterator<Item = Op>>(
     ir: &DeviceIr,
-    fast: bool,
+    rig: Rig,
     ops: I,
     retain: bool,
     corrupt: Option<u64>,
     window: Option<(u64, u64)>,
 ) -> Replay {
-    let mut inst = DeviceInstance::new(ir.clone());
-    if !fast {
-        inst.set_fast_plans(false);
-    }
+    let mut inst = rig.instance(ir);
     let mut dev = FakeAccess::new();
     dev.log.reserve(64);
     let mut log = MmrLog::new(retain);
@@ -142,7 +151,7 @@ fn replay<I: Iterator<Item = Op>>(
     let mut fold =
         |op: &Op, inst: &mut DeviceInstance, dev: &mut FakeAccess, idx: u64, log: &mut MmrLog| {
             obs.clear();
-            run_op(inst, dev, op, &mut obs);
+            run_op(rig, inst, dev, op, &mut obs);
             encode_leaf(&mut scratch, &obs, &dev.log);
             // The delta is folded; drop it so memory stays O(1) per op.
             dev.log.clear();
@@ -187,8 +196,21 @@ pub(crate) fn encode_final_state(scratch: &mut Vec<u8>, dev: &FakeAccess) {
     }
 }
 
-/// The replay's MMR log alone — the building block the sensitivity
-/// tests and benches drive directly.
+/// One rig's replay of `ops` as an MMR log alone — the building block
+/// the sensitivity tests drive directly, with `corrupt` faking a
+/// divergence at one op.
+pub fn replay_log<I: Iterator<Item = Op>>(
+    ir: &DeviceIr,
+    rig: Rig,
+    ops: I,
+    retain: bool,
+    corrupt: Option<u64>,
+) -> MmrLog {
+    replay(ir, rig, ops, retain, corrupt, None).log
+}
+
+/// [`replay_log`] over a generated [`OpStream`] on the fast (`fast`) or
+/// general rig — the form the benches drive.
 pub fn replay_mmr(
     ir: &DeviceIr,
     fast: bool,
@@ -197,7 +219,8 @@ pub fn replay_mmr(
     retain: bool,
     corrupt: Option<u64>,
 ) -> MmrLog {
-    replay(ir, fast, OpStream::new(ir, seed, ops), retain, corrupt, None).log
+    let rig = if fast { Rig::Fast } else { Rig::General };
+    replay_log(ir, rig, OpStream::new(ir, seed, ops), retain, corrupt)
 }
 
 /// A successful root compare.
@@ -214,62 +237,61 @@ pub struct RootedOutcome {
     pub retained_bytes: usize,
 }
 
-fn check_rooted<I, F>(ir: &DeviceIr, mut source: F) -> Result<RootedOutcome, String>
+/// Replays the op source through rigs `a` and `b` and compares one
+/// 32-byte root per rig: identical caller observations, device op log,
+/// cache-coherence probe and final device state. `source` is called
+/// once per replay and must yield the same ops every time. On a
+/// mismatch, bisects to the first divergent op and reports the lines
+/// around it from both rigs.
+pub fn compare<I, F>(ir: &DeviceIr, a: Rig, b: Rig, mut source: F) -> Result<RootedOutcome, String>
 where
     I: Iterator<Item = Op>,
     F: FnMut() -> I,
 {
-    let mut fast = replay(ir, true, source(), false, None, None);
-    let mut slow = replay(ir, false, source(), false, None, None);
-    let (fast_root, slow_root) = (fast.log.root(), slow.log.root());
-    if fast_root == slow_root {
+    let mut ra = replay(ir, a, source(), false, None, None);
+    let mut rb = replay(ir, b, source(), false, None, None);
+    let (root_a, root_b) = (ra.log.root(), rb.log.root());
+    if root_a == root_b {
         return Ok(RootedOutcome {
-            root: fast_root,
-            ops: fast.ops,
-            leaves: fast.log.len(),
-            retained_bytes: fast.log.retained_bytes().max(slow.log.retained_bytes()),
+            root: root_a,
+            ops: ra.ops,
+            leaves: ra.log.len(),
+            retained_bytes: ra.log.retained_bytes().max(rb.log.retained_bytes()),
         });
     }
 
     // Mismatch: re-replay retained (replays are pure, so this only
     // costs the failing case), bisect to the first divergent leaf,
     // then re-replay once more capturing the lines around it.
-    let mut fast_r = replay(ir, true, source(), true, None, None);
-    let mut slow_r = replay(ir, false, source(), true, None, None);
-    let d = bisect_divergence(fast_r.log.mmr(), slow_r.log.mmr())
+    let mut ra = replay(ir, a, source(), true, None, None);
+    let mut rb = replay(ir, b, source(), true, None, None);
+    let d = bisect_divergence(ra.log.mmr(), rb.log.mmr())
         .expect("roots differ but retained replay bisects to nothing");
-    let nops = fast_r.ops;
-    let what = if d.leaf < nops {
+    let what = if d.leaf < ra.ops {
         format!("op {}", d.leaf)
     } else {
         "the cache-coherence probe / final device state".to_string()
     };
     let window = (d.leaf.saturating_sub(2), d.leaf + 3);
-    let wf = replay(ir, true, source(), false, None, Some(window));
-    let ws = replay(ir, false, source(), false, None, Some(window));
+    let wa = replay(ir, a, source(), false, None, Some(window));
+    let wb = replay(ir, b, source(), false, None, Some(window));
     let lines = |w: &Replay| {
         w.window.iter().map(|(i, l)| format!("    [{i}] {l}")).collect::<Vec<_>>().join("\n")
     };
     Err(format!(
-        "trace roots diverge ({fast_root:?} vs {slow_root:?}): bisection names {what} \
-         (leaf {} of {}) in {} hash compares\n  fast:\n{}\n  general:\n{}",
+        "trace roots diverge ({root_a:?} vs {root_b:?}): bisection names {what} \
+         (leaf {} of {}) in {} hash compares\n  {}:\n{}\n  {}:\n{}",
         d.leaf,
-        fast_r.log.len().max(slow_r.log.len()),
+        ra.log.len().max(rb.log.len()),
         d.compares,
-        lines(&wf),
-        lines(&ws),
+        a.name(),
+        lines(&wa),
+        b.name(),
+        lines(&wb),
     ))
 }
 
-/// [`crate::check_equivalence`], root-compared: replays `ops` through
-/// both rigs in O(peaks) memory and compares one 32-byte root; on
-/// mismatch, bisects to the first divergent op and reports the
-/// surrounding lines.
-pub fn check_equivalence_rooted(ir: &DeviceIr, ops: &[Op]) -> Result<RootedOutcome, String> {
-    check_rooted(ir, || ops.iter().cloned())
-}
-
-/// Root-compared equivalence over a generated stream of exactly `ops`
+/// `compare(Fast, General)` over a generated stream of exactly `ops`
 /// operations — the long-run entry point: nothing is ever
 /// materialized, so `DIFF_OPS=1000000` replays run flat in memory.
 pub fn check_equivalence_rooted_stream(
@@ -277,7 +299,7 @@ pub fn check_equivalence_rooted_stream(
     seed: u64,
     ops: u64,
 ) -> Result<RootedOutcome, String> {
-    check_rooted(ir, || OpStream::new(ir, seed, ops))
+    compare(ir, Rig::Fast, Rig::General, || OpStream::new(ir, seed, ops))
 }
 
 #[cfg(test)]
@@ -313,7 +335,7 @@ mod tests {
         let ir = ir(SPEC);
         let ops: Vec<Op> = OpStream::new(&ir, 7, 500).collect();
         crate::check_equivalence(&ir, &ops).unwrap();
-        let out = check_equivalence_rooted(&ir, &ops).unwrap();
+        let out = compare(&ir, Rig::Fast, Rig::General, || ops.iter().cloned()).unwrap();
         assert_eq!(out.ops, 500);
         assert!(out.leaves > 500, "probe and final-state leaves follow the ops");
         let streamed = check_equivalence_rooted_stream(&ir, 7, 500).unwrap();
@@ -368,7 +390,14 @@ mod tests {
 
     #[test]
     fn diff_ops_reads_the_env_knob() {
-        // Serial with nothing: the var is unset in the test env.
-        assert_eq!(diff_ops(777), 777);
+        assert_eq!(parse_diff_ops(None, 777), 777);
+        assert_eq!(parse_diff_ops(Some("5"), 777), 5);
+        assert_eq!(parse_diff_ops(Some("1000000"), 777), 1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "DIFF_OPS must be an integer, got \"lots\"")]
+    fn diff_ops_rejects_a_non_integer() {
+        parse_diff_ops(Some("lots"), 777);
     }
 }

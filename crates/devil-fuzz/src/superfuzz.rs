@@ -1,17 +1,19 @@
-//! Fused-superplan differential fuzzing: `run_superplan` (one guard
-//! evaluation, batched I/O) against `run_superplan_unfused` (the same
-//! declared op sequence through the ordinary dispatch paths).
+//! Fused-superplan streams: `run_superplan` (one guard evaluation,
+//! batched I/O) against `run_superplan_unfused` (the same declared op
+//! sequence through the ordinary dispatch paths).
 //!
-//! Fusion is pure dispatch batching — the fused body must issue the
-//! *identical* device-op stream, so both modes are compared on caller
-//! observations, the device op log, final device state and a
-//! cache-coherence read probe, exactly like the fast/general
-//! differential in the crate root.
+//! A superplan call is one more [`Op`] — [`Op::Super`] — so a fused
+//! stream is an ordinary op stream: [`decode_super`] interleaves
+//! state-perturbing single ops with calls, [`super_sweep`] invokes
+//! every superplan at fixed operands, and the crate's one set of
+//! comparators replays them. Fusion is pure dispatch batching, so the
+//! fused ≡ unfused check is [`crate::rooted::compare`] over
+//! [`Rig::Fast`] and [`Rig::Unfused`]: identical caller observations,
+//! device op log, final device state and cache-coherence probe.
 
-use crate::{run, run_op, Op};
+use crate::{Op, Rig};
 use devil_ir::{DeviceIr, FuseOp, PlanValue};
-use devil_runtime::{DeviceInstance, FakeAccess};
-use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
+use devil_runtime::{DeviceInstance, FakeAccess, RtResult};
 
 /// Installs synthetic superplans over the formerly-fallback shapes in
 /// [`crate::synthetic`], so the fused differential covers input-dim
@@ -94,7 +96,30 @@ pub struct SuperCall {
     pub block_in_len: usize,
 }
 
-fn blocks_of(ir: &DeviceIr, sid: usize) -> (bool, bool) {
+impl SuperCall {
+    /// Dispatches the call on `inst` — fused, or op by op on
+    /// [`Rig::Unfused`] — returning the result, the output slots and
+    /// the read-block buffer.
+    pub fn run(
+        &self,
+        rig: Rig,
+        inst: &mut DeviceInstance,
+        dev: &mut FakeAccess,
+    ) -> (RtResult<()>, Vec<u64>, Vec<u64>) {
+        let mut block_in = vec![0u64; self.block_in_len];
+        let mut outs = vec![0u64; inst.ir().superplans()[self.sid].outputs];
+        let (sid, args, block_out) = (self.sid, &self.args, &self.block_out);
+        let r = if rig == Rig::Unfused {
+            inst.run_superplan_unfused(dev, sid, args, block_out, &mut block_in, &mut outs)
+        } else {
+            inst.run_superplan(dev, sid, args, block_out, &mut block_in, &mut outs)
+        };
+        (r, outs, block_in)
+    }
+}
+
+/// Whether superplan `sid` moves a block out and a block in.
+pub(crate) fn blocks_of(ir: &DeviceIr, sid: usize) -> (bool, bool) {
     let sp = &ir.superplans()[sid];
     let out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
     let inp = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
@@ -104,8 +129,8 @@ fn blocks_of(ir: &DeviceIr, sid: usize) -> (bool, bool) {
 /// A deterministic in-range sweep: every superplan invoked four times
 /// with varying operands and block lengths — including the zero-length
 /// block, which must be a true no-op on both paths.
-pub fn super_sweep(ir: &DeviceIr) -> Vec<(Vec<Op>, SuperCall)> {
-    let mut seq = Vec::new();
+pub fn super_sweep(ir: &DeviceIr) -> Vec<Op> {
+    let mut ops = Vec::new();
     for sid in 0..ir.superplans().len() {
         let (has_out, has_in) = blocks_of(ir, sid);
         let nargs = ir.superplans()[sid].args;
@@ -118,20 +143,22 @@ pub fn super_sweep(ir: &DeviceIr) -> Vec<(Vec<Op>, SuperCall)> {
                 vec![]
             };
             let block_in_len = if has_in { len } else { 0 };
-            seq.push((Vec::new(), SuperCall { sid, args, block_out, block_in_len }));
+            ops.push(Op::Super(Box::new(SuperCall { sid, args, block_out, block_in_len })));
         }
     }
-    seq
+    ops
 }
 
-/// Decodes a raw word stream into interleaved state-perturbing op
-/// preludes and superplan calls. Pure and total, like [`crate::decode`].
-pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<(Vec<Op>, SuperCall)> {
+/// Decodes a raw word stream into state-perturbing single ops
+/// interleaved with superplan calls: each call is preceded by the
+/// [`crate::decode`] of up to six words. Pure and total, like
+/// [`crate::decode`].
+pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
     let nsp = ir.superplans().len();
     if nsp == 0 {
         return Vec::new();
     }
-    let mut seq = Vec::new();
+    let mut ops = Vec::new();
     let mut i = 0usize;
     let pull = |i: &mut usize| {
         let w = words.get(*i).copied().unwrap_or(0);
@@ -142,7 +169,7 @@ pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<(Vec<Op>, SuperCall)> {
         let w = pull(&mut i);
         let pre_len = (w % 4) as usize * 2;
         let pre_words: Vec<u64> = (0..pre_len).map(|_| pull(&mut i)).collect();
-        let pre = crate::decode(ir, &pre_words);
+        ops.extend(crate::decode(ir, &pre_words));
         let sid = ((w >> 8) % nsp as u64) as usize;
         let (has_out, has_in) = blocks_of(ir, sid);
         let nargs = ir.superplans()[sid].args;
@@ -150,184 +177,7 @@ pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<(Vec<Op>, SuperCall)> {
         let len = ((w >> 16) % 9) as usize;
         let block_out = if has_out { (0..len).map(|_| pull(&mut i)).collect() } else { vec![] };
         let block_in_len = if has_in { len } else { 0 };
-        seq.push((pre, SuperCall { sid, args, block_out, block_in_len }));
+        ops.push(Op::Super(Box::new(SuperCall { sid, args, block_out, block_in_len })));
     }
-    seq
-}
-
-/// One superplan invocation (fused or unfused), appending the caller
-/// observation line to `obs`.
-fn run_call(
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    call: &SuperCall,
-    fused: bool,
-    obs: &mut Vec<String>,
-) {
-    let mut block_in = vec![0u64; call.block_in_len];
-    let mut outs = vec![0u64; inst.ir().superplans()[call.sid].outputs];
-    let r = if fused {
-        inst.run_superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs)
-    } else {
-        inst.run_superplan_unfused(
-            dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        )
-    };
-    obs.push(format!(
-        "super {} {:x?} -> {r:?} outs {outs:x?} in {block_in:x?}",
-        call.sid, call.args
-    ));
-}
-
-fn run_seq(
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    seq: &[(Vec<Op>, SuperCall)],
-    fused: bool,
-) -> Vec<String> {
-    let mut obs = Vec::new();
-    for (pre, call) in seq {
-        obs.extend(run(inst, dev, pre));
-        run_call(inst, dev, call, fused, &mut obs);
-    }
-    obs
-}
-
-fn first_diff(a: &[String], b: &[String]) -> String {
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        if x != y {
-            return format!("op {i}:\n  fused:   {x}\n  unfused: {y}");
-        }
-    }
-    format!("lengths differ: fused {} vs unfused {}", a.len(), b.len())
-}
-
-/// Replays a superplan call sequence through the fused and unfused
-/// paths and verifies they are indistinguishable: identical caller
-/// observations (results, outputs, block buffers), identical
-/// device-visible op log, identical final device state, and an
-/// identical residual read probe.
-pub fn check_superplan_equivalence(
-    ir: &DeviceIr,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<(), String> {
-    let mut fused = DeviceInstance::new(ir.clone());
-    let mut fused_dev = FakeAccess::new();
-    let mut unfused = DeviceInstance::new(ir.clone());
-    let mut unfused_dev = FakeAccess::new();
-
-    let obs_f = run_seq(&mut fused, &mut fused_dev, seq, true);
-    let obs_u = run_seq(&mut unfused, &mut unfused_dev, seq, false);
-    if obs_f != obs_u {
-        return Err(format!("observations diverge at {}", first_diff(&obs_f, &obs_u)));
-    }
-    if fused_dev.log != unfused_dev.log {
-        let i = fused_dev.log.iter().zip(&unfused_dev.log).position(|(a, b)| a != b);
-        return Err(format!(
-            "device op logs diverge at index {i:?}: fused {:?} vs unfused {:?} (lens {} vs {})",
-            i.map(|i| fused_dev.log[i]),
-            i.map(|i| unfused_dev.log[i]),
-            fused_dev.log.len(),
-            unfused_dev.log.len(),
-        ));
-    }
-    if fused_dev.regs != unfused_dev.regs {
-        return Err("final device state diverges".into());
-    }
-
-    // Cache-coherence probe, as in the fast/general differential.
-    let probe = crate::probe_ops(ir);
-    let probe_f = run(&mut fused, &mut fused_dev, &probe);
-    let probe_u = run(&mut unfused, &mut unfused_dev, &probe);
-    if probe_f != probe_u {
-        return Err(format!(
-            "cache-coherence probe diverges at {}",
-            first_diff(&probe_f, &probe_u)
-        ));
-    }
-    if fused_dev.log != unfused_dev.log {
-        return Err("probe device op logs diverge".into());
-    }
-    Ok(())
-}
-
-/// Replays the sequence through one mode, folding each call — its
-/// state-perturbing prelude, its observation line and its device-op
-/// log delta — into one MMR leaf, so the leaf index *is* the call
-/// index. Retained mode: superplan sequences are modest and retention
-/// lets a mismatch bisect without a re-replay.
-fn run_seq_rooted(ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)], fused: bool) -> MmrLog {
-    let mut inst = DeviceInstance::new(ir.clone());
-    let mut dev = FakeAccess::new();
-    let mut log = MmrLog::new(true);
-    log.reserve(seq.len().min(1024), 128);
-    let mut obs: Vec<String> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    for (pre, call) in seq {
-        obs.clear();
-        for op in pre {
-            run_op(&mut inst, &mut dev, op, &mut obs);
-        }
-        run_call(&mut inst, &mut dev, call, fused, &mut obs);
-        crate::rooted::encode_leaf(&mut scratch, &obs, &dev.log);
-        dev.log.clear();
-        log.push(&scratch);
-    }
-    for op in crate::probe_ops(ir) {
-        obs.clear();
-        run_op(&mut inst, &mut dev, &op, &mut obs);
-        crate::rooted::encode_leaf(&mut scratch, &obs, &dev.log);
-        dev.log.clear();
-        log.push(&scratch);
-    }
-    crate::rooted::encode_final_state(&mut scratch, &dev);
-    log.push(&scratch);
-    log
-}
-
-/// A successful fused-vs-unfused root compare.
-#[derive(Clone, Copy, Debug)]
-pub struct SuperRooted {
-    /// The agreed root.
-    pub root: Hash,
-    /// Superplan calls replayed.
-    pub calls: u64,
-    /// Total leaves (calls + probe reads + final state).
-    pub leaves: u64,
-}
-
-/// [`check_superplan_equivalence`], root-compared: fused and unfused
-/// replays reduce to one 32-byte compare; on mismatch, bisection names
-/// the first divergent call in O(log N) hash compares and the linear
-/// comparator is re-run only for the human-readable report.
-pub fn check_superplan_equivalence_rooted(
-    ir: &DeviceIr,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<SuperRooted, String> {
-    let mut fused = run_seq_rooted(ir, seq, true);
-    let mut unfused = run_seq_rooted(ir, seq, false);
-    let (rf, ru) = (fused.root(), unfused.root());
-    if rf == ru {
-        return Ok(SuperRooted { root: rf, calls: seq.len() as u64, leaves: fused.len() });
-    }
-    let d = bisect_divergence(fused.mmr(), unfused.mmr())
-        .expect("roots differ but bisection found nothing");
-    let what = if d.leaf < seq.len() as u64 {
-        format!("call {}", d.leaf)
-    } else {
-        "the cache-coherence probe / final device state".to_string()
-    };
-    let detail = check_superplan_equivalence(ir, seq)
-        .err()
-        .unwrap_or_else(|| "linear comparator found no line-level diff".to_string());
-    Err(format!(
-        "superplan trace roots diverge ({rf:?} vs {ru:?}): bisection names {what} in {} \
-         hash compares; {detail}",
-        d.compares
-    ))
+    ops
 }

@@ -11,9 +11,7 @@
 
 use devil_codegen::StubApi;
 use devil_fuzz::compiled::{
-    cc_available, check_compiled, check_compiled_rooted, check_compiled_super,
-    check_compiled_super_rooted, commands, interp_observation, rooted_verdict, stub_ops,
-    CompiledStub,
+    check_compiled, commands, interp_observation, rooted_verdict, stub_ops, Backend, Oracle,
 };
 use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
 use devil_fuzz::{decode, init_sweep_ops, sweep_ops, Op};
@@ -25,7 +23,7 @@ struct Rig {
     name: &'static str,
     ir: DeviceIr,
     api: StubApi,
-    stub: CompiledStub,
+    stub: Oracle,
 }
 
 /// The 8-spec library plus the synthetic formerly-fallback specs,
@@ -51,7 +49,7 @@ fn rigs() -> &'static [Rig] {
                     drivers::superplans::install(&mut ir);
                 }
                 let api = StubApi::of(&ir);
-                let stub = CompiledStub::build(name, &ir, &dir)
+                let stub = Oracle::build(Backend::C, name, &ir, &dir)
                     .unwrap_or_else(|e| panic!("{name}: cannot build compiled oracle: {e}"));
                 Rig { name, ir, api, stub }
             })
@@ -64,7 +62,7 @@ fn rigs() -> &'static [Rig] {
 /// spawns a process, so it runs once per test binary.
 fn skip_without_cc() -> bool {
     static HAS_CC: OnceLock<bool> = OnceLock::new();
-    if *HAS_CC.get_or_init(cc_available) {
+    if *HAS_CC.get_or_init(|| Backend::C.available()) {
         return false;
     }
     eprintln!("skipping compiled-C oracle: no `cc` on PATH");
@@ -166,7 +164,7 @@ fn private_struct_fields_agree_with_compiled_stubs() {
     let ir = devil_ir::lower(&model);
     let api = StubApi::of(&ir);
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-oracle");
-    let stub = CompiledStub::build("privfield", &ir, &dir).expect("probe stub builds");
+    let stub = Oracle::build(Backend::C, "privfield", &ir, &dir).expect("probe stub builds");
     let pm = ir.var_id("pm").unwrap();
     let fa = ir.var_id("fa").unwrap();
     let sid = ir.struct_id("s").unwrap();
@@ -286,8 +284,7 @@ fn superplan_sweep_matches_compiled_stubs() {
         return;
     }
     for rig in rigs().iter().filter(|r| !r.api.superplans.is_empty()) {
-        let seq = super_sweep(&rig.ir);
-        if let Err(e) = check_compiled_super(&rig.stub, &rig.ir, &rig.api, &seq) {
+        if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &super_sweep(&rig.ir)) {
             panic!("{}: {e}", rig.name);
         }
     }
@@ -350,30 +347,11 @@ fn corpus_streams_match_compiled_stubs() {
                 panic!("{}: corpus stream {i}: {e}", rig.name);
             }
             if !rig.api.superplans.is_empty() {
-                let seq = decode_super(&rig.ir, words);
-                if let Err(e) = check_compiled_super(&rig.stub, &rig.ir, &rig.api, &seq) {
+                let ops = decode_super(&rig.ir, words);
+                if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops) {
                     panic!("{}: corpus stream {i} (fused): {e}", rig.name);
                 }
             }
-        }
-    }
-}
-
-/// Root-compare mode of the oracle agrees with the linear comparator
-/// on both sweep surfaces: every spec's stub sweep and every fused
-/// superplan sweep condense to one matching 32-byte root per side.
-#[test]
-fn rooted_oracle_matches_on_sweeps() {
-    if skip_without_cc() {
-        return;
-    }
-    for rig in rigs() {
-        check_compiled_rooted(&rig.stub, &rig.ir, &rig.api, &sweep_ops(&rig.ir))
-            .unwrap_or_else(|e| panic!("{}: {e}", rig.name));
-        if !rig.api.superplans.is_empty() {
-            let seq = super_sweep(&rig.ir);
-            check_compiled_super_rooted(&rig.stub, &rig.ir, &rig.api, &seq)
-                .unwrap_or_else(|e| panic!("{}: {e}", rig.name));
         }
     }
 }
@@ -397,7 +375,7 @@ fn rooted_oracle_bisects_injected_divergence() {
         .zip(got.iter())
         .position(|(w, g)| w != g)
         .unwrap_or_else(|| want.len().min(got.len()));
-    let err = rooted_verdict("busmouse", "stubs", &want, &got)
+    let err = rooted_verdict("busmouse", "C stubs", &want, &got)
         .expect_err("skewed stream must fail root compare");
     assert!(
         err.contains(&format!("observation line {linear_first} ")),
@@ -431,8 +409,8 @@ proptest! {
             return Ok(());
         }
         for rig in rigs().iter().filter(|r| !r.api.superplans.is_empty()) {
-            let seq = decode_super(&rig.ir, &words);
-            let r = check_compiled_super(&rig.stub, &rig.ir, &rig.api, &seq);
+            let ops = decode_super(&rig.ir, &words);
+            let r = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops);
             prop_assert!(r.is_ok(), "{}: {}", rig.name, r.err().unwrap_or_default());
         }
     }

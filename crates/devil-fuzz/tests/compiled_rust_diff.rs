@@ -10,10 +10,8 @@
 //! emitter/spec revision.
 
 use devil_codegen::StubApi;
-use devil_fuzz::compiled::{commands, interp_observation, rooted_verdict, stub_ops};
-use devil_fuzz::compiled_rust::{
-    check_compiled_rust, check_compiled_rust_rooted, check_compiled_rust_super,
-    check_compiled_rust_super_rooted, rustc_available, CompiledRustStub,
+use devil_fuzz::compiled::{
+    check_compiled, commands, interp_observation, rooted_verdict, stub_ops, Backend, Oracle,
 };
 use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
 use devil_fuzz::{decode, init_sweep_ops, sweep_ops, Op};
@@ -25,7 +23,7 @@ struct Rig {
     name: &'static str,
     ir: DeviceIr,
     api: StubApi,
-    stub: CompiledRustStub,
+    stub: Oracle,
 }
 
 /// The 8-spec library plus the synthetic formerly-fallback specs,
@@ -47,7 +45,7 @@ fn rigs() -> &'static [Rig] {
                     drivers::superplans::install(&mut ir);
                 }
                 let api = StubApi::of(&ir);
-                let stub = CompiledRustStub::build(name, &ir, &dir)
+                let stub = Oracle::build(Backend::Rust, name, &ir, &dir)
                     .unwrap_or_else(|e| panic!("{name}: cannot build compiled Rust oracle: {e}"));
                 Rig { name, ir, api, stub }
             })
@@ -59,7 +57,7 @@ fn rigs() -> &'static [Rig] {
 /// where it is missing so tier-1 stays runnable anywhere.
 fn skip_without_rustc() -> bool {
     static HAS_RUSTC: OnceLock<bool> = OnceLock::new();
-    if *HAS_RUSTC.get_or_init(rustc_available) {
+    if *HAS_RUSTC.get_or_init(|| Backend::Rust.available()) {
         return false;
     }
     eprintln!("skipping compiled-Rust oracle: no `rustc` on PATH");
@@ -96,7 +94,7 @@ fn coverage_sweep_matches_rust_stubs() {
         return;
     }
     for rig in rigs() {
-        if let Err(e) = check_compiled_rust(&rig.stub, &rig.ir, &rig.api, &sweep_ops(&rig.ir)) {
+        if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &sweep_ops(&rig.ir)) {
             panic!("{}: {e}", rig.name);
         }
     }
@@ -110,8 +108,7 @@ fn init_sequence_sweep_matches_rust_stubs() {
         return;
     }
     for rig in rigs() {
-        if let Err(e) = check_compiled_rust(&rig.stub, &rig.ir, &rig.api, &init_sweep_ops(&rig.ir))
-        {
+        if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &init_sweep_ops(&rig.ir)) {
             panic!("{}: {e}", rig.name);
         }
     }
@@ -131,7 +128,7 @@ fn cold_and_warm_reads_match_rust_stubs() {
             ops.push(Op::ReadVar { vid, args: Vec::new() });
             ops.push(Op::ReadVar { vid, args: Vec::new() });
         }
-        if let Err(e) = check_compiled_rust(&rig.stub, &rig.ir, &rig.api, &ops) {
+        if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops) {
             panic!("{}: {e}", rig.name);
         }
     }
@@ -145,8 +142,7 @@ fn superplan_sweep_matches_rust_stubs() {
         return;
     }
     for rig in rigs().iter().filter(|r| !r.api.superplans.is_empty()) {
-        let seq = super_sweep(&rig.ir);
-        if let Err(e) = check_compiled_rust_super(&rig.stub, &rig.ir, &rig.api, &seq) {
+        if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &super_sweep(&rig.ir)) {
             panic!("{}: {e}", rig.name);
         }
     }
@@ -163,33 +159,15 @@ fn corpus_streams_match_rust_stubs() {
     for rig in rigs() {
         for (i, words) in devil_fuzz::coverage::shipped_corpus(rig.name).iter().enumerate() {
             let ops = decode(&rig.ir, words);
-            if let Err(e) = check_compiled_rust(&rig.stub, &rig.ir, &rig.api, &ops) {
+            if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops) {
                 panic!("{}: corpus stream {i}: {e}", rig.name);
             }
             if !rig.api.superplans.is_empty() {
-                let seq = decode_super(&rig.ir, words);
-                if let Err(e) = check_compiled_rust_super(&rig.stub, &rig.ir, &rig.api, &seq) {
+                let ops = decode_super(&rig.ir, words);
+                if let Err(e) = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops) {
                     panic!("{}: corpus stream {i} (fused): {e}", rig.name);
                 }
             }
-        }
-    }
-}
-
-/// Root-compare mode of the Rust oracle agrees with the linear
-/// comparator on both sweep surfaces.
-#[test]
-fn rooted_rust_oracle_matches_on_sweeps() {
-    if skip_without_rustc() {
-        return;
-    }
-    for rig in rigs() {
-        check_compiled_rust_rooted(&rig.stub, &rig.ir, &rig.api, &sweep_ops(&rig.ir))
-            .unwrap_or_else(|e| panic!("{}: {e}", rig.name));
-        if !rig.api.superplans.is_empty() {
-            let seq = super_sweep(&rig.ir);
-            check_compiled_rust_super_rooted(&rig.stub, &rig.ir, &rig.api, &seq)
-                .unwrap_or_else(|e| panic!("{}: {e}", rig.name));
         }
     }
 }
@@ -250,7 +228,7 @@ proptest! {
         }
         for rig in rigs() {
             let ops = decode(&rig.ir, &words);
-            let r = check_compiled_rust(&rig.stub, &rig.ir, &rig.api, &ops);
+            let r = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops);
             prop_assert!(r.is_ok(), "{}: {}", rig.name, r.err().unwrap_or_default());
         }
     }
@@ -263,8 +241,8 @@ proptest! {
             return Ok(());
         }
         for rig in rigs().iter().filter(|r| !r.api.superplans.is_empty()) {
-            let seq = decode_super(&rig.ir, &words);
-            let r = check_compiled_rust_super(&rig.stub, &rig.ir, &rig.api, &seq);
+            let ops = decode_super(&rig.ir, &words);
+            let r = check_compiled(&rig.stub, &rig.ir, &rig.api, &ops);
             prop_assert!(r.is_ok(), "{}: {}", rig.name, r.err().unwrap_or_default());
         }
     }

@@ -16,8 +16,8 @@ use devil_fuzz::coverage::{
     grow_corpus, minimize, shipped_corpus, uniform_coverage, Coverage, CoverageSpace,
 };
 use devil_fuzz::decode;
-use devil_fuzz::rooted::check_equivalence_rooted;
-use devil_fuzz::superfuzz::{check_superplan_equivalence_rooted, decode_super, install_synthetic};
+use devil_fuzz::rooted::compare;
+use devil_fuzz::superfuzz::{decode_super, install_synthetic};
 use devil_ir::DeviceIr;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -197,12 +197,16 @@ fn corpus_streams_pass_rooted_differential_comparators() {
     for rig in rigs() {
         for (i, words) in shipped_corpus(rig.name).iter().enumerate() {
             let ops = decode(&rig.ir, words);
-            check_equivalence_rooted(&rig.ir, &ops)
-                .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", rig.name));
+            compare(&rig.ir, devil_fuzz::Rig::Fast, devil_fuzz::Rig::General, || {
+                ops.iter().cloned()
+            })
+            .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", rig.name));
             if !rig.ir.superplans().is_empty() {
-                let seq = decode_super(&rig.ir, words);
-                check_superplan_equivalence_rooted(&rig.ir, &seq)
-                    .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", rig.name));
+                let ops = decode_super(&rig.ir, words);
+                compare(&rig.ir, devil_fuzz::Rig::Fast, devil_fuzz::Rig::Unfused, || {
+                    ops.iter().cloned()
+                })
+                .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", rig.name));
             }
         }
     }

@@ -11,9 +11,10 @@
 //! the case count via `PROPTEST_CASES`.
 
 use devil_fuzz::rooted::{
-    check_equivalence_rooted, check_equivalence_rooted_stream, diff_ops, replay_mmr,
+    check_equivalence_rooted_stream, compare, diff_ops, replay_log, OpStream,
 };
-use devil_fuzz::{check_equivalence, decode, init_sweep_ops, sweep_ops, Op};
+use devil_fuzz::superfuzz::{decode_super, install_synthetic};
+use devil_fuzz::{check_equivalence, decode, init_sweep_ops, sweep_ops, Op, Rig};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use hwsim::mmr::{bisect_divergence, linear_divergence};
@@ -36,6 +37,27 @@ fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
             .collect()
     })
 }
+
+/// The superplan-bearing specs: the shipped devices with their driver
+/// superplans, and the synthetic shapes with their fixture superplans.
+fn fused_irs() -> &'static Vec<(&'static str, DeviceIr)> {
+    static IRS: OnceLock<Vec<(&'static str, DeviceIr)>> = OnceLock::new();
+    IRS.get_or_init(|| {
+        let mut fused = irs().clone();
+        for (name, ir) in &mut fused {
+            if devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name) {
+                install_synthetic(name, ir);
+            } else {
+                drivers::superplans::install(ir);
+            }
+        }
+        fused.retain(|(_, ir)| !ir.superplans().is_empty());
+        fused
+    })
+}
+
+/// Every in-process rig, indexed by the bisection proptest's rig pair.
+const RIGS: [Rig; 3] = [Rig::Fast, Rig::General, Rig::Unfused];
 
 /// The deterministic coverage sweep: every variable, structure and
 /// block transfer of every device, against both interpreter modes.
@@ -112,7 +134,7 @@ fn conditional_writes_take_guarded_variants_in_fast_mode() {
             .map(|(k, &fid)| (fid, (combo >> (k % 2)) & 1))
             .collect();
         let ops = [Op::WriteStruct { sid, values }];
-        devil_fuzz::run(&mut inst, &mut dev, &ops);
+        devil_fuzz::run(Rig::Fast, &mut inst, &mut dev, &ops);
     }
     let stats = inst.plan_stats();
     assert_eq!(stats.guarded, 4, "every conditional flush takes a guarded variant: {stats:?}");
@@ -179,7 +201,7 @@ fn formerly_fallback_specs_dispatch_on_plans() {
         }
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        devil_fuzz::run(&mut inst, &mut dev, &ops);
+        devil_fuzz::run(Rig::Fast, &mut inst, &mut dev, &ops);
         let stats = inst.plan_stats();
         assert_eq!(stats.general, 0, "{name}: general dispatches in fast mode: {stats:?}");
         assert!(stats.straight + stats.guarded > 0, "{name}: workload hit no plans: {stats:?}");
@@ -194,7 +216,7 @@ fn formerly_fallback_specs_dispatch_on_plans() {
 fn rooted_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
         let ops = sweep_ops(ir);
-        let out = check_equivalence_rooted(ir, &ops)
+        let out = compare(ir, Rig::Fast, Rig::General, || ops.iter().cloned())
             .unwrap_or_else(|e| panic!("{name}: rooted sweep diverges\n{e}"));
         assert_eq!(out.ops, ops.len() as u64, "{name}");
     }
@@ -241,24 +263,41 @@ proptest! {
     fn rooted_comparator_agrees_on_random_streams(words in collection::vec(any::<u64>(), 1..48)) {
         for (name, ir) in irs() {
             let ops = decode(ir, &words);
-            let r = check_equivalence_rooted(ir, &ops);
+            let r = compare(ir, Rig::Fast, Rig::General, || ops.iter().cloned());
             prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap_or_default());
         }
     }
 
     /// Sensitivity at the harness level: corrupt exactly one op's leaf
     /// in a replay and bisection must name that op — the same index a
-    /// linear leaf scan finds — within the O(log N) compare budget.
+    /// linear leaf scan finds — within the O(log N) compare budget. The
+    /// clean and the corrupted replay run on any pair of rigs (`pair`),
+    /// over a plain op stream or, with `fused`, a superplan stream
+    /// decoded from `super_words` on a superplan-bearing spec.
     #[test]
-    fn bisection_names_injected_divergences(seed in any::<u64>(), n in 16u64..600, pick in any::<u64>()) {
-        let (name, ir) = &irs()[(seed % irs().len() as u64) as usize];
-        let k = pick % n;
-        let mut clean = replay_mmr(ir, true, seed, n, true, None);
-        let mut mutated = replay_mmr(ir, true, seed, n, true, Some(k));
+    fn bisection_names_injected_divergences(
+        seed in any::<u64>(),
+        n in 16u64..600,
+        pick in any::<u64>(),
+        pair in 0usize..9,
+        fused in any::<bool>(),
+        super_words in collection::vec(any::<u64>(), 16..600),
+    ) {
+        let (a, b) = (RIGS[pair / 3], RIGS[pair % 3]);
+        let specs = if fused { fused_irs() } else { irs() };
+        let (name, ir) = &specs[(seed % specs.len() as u64) as usize];
+        let ops: Vec<Op> = if fused {
+            decode_super(ir, &super_words)
+        } else {
+            OpStream::new(ir, seed, n).collect()
+        };
+        let k = pick % ops.len() as u64;
+        let mut clean = replay_log(ir, a, ops.iter().cloned(), true, None);
+        let mut mutated = replay_log(ir, b, ops.iter().cloned(), true, Some(k));
         let d = bisect_divergence(clean.mmr(), mutated.mmr());
         prop_assert!(d.is_some(), "{}: corrupted replay must diverge", name);
         let d = d.unwrap();
-        prop_assert_eq!(d.leaf, k, "{}: bisection names the corrupted op", name);
+        prop_assert_eq!(d.leaf, k, "{} {:?}/{:?}: bisection names the corrupted op", name, a, b);
         prop_assert_eq!(linear_divergence(clean.mmr(), mutated.mmr()), Some(k));
         let leaves = clean.len().max(mutated.len());
         let bound = 2 * (64 - leaves.leading_zeros() as u64) + 2;

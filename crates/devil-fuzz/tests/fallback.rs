@@ -249,7 +249,9 @@ fn nested_conditional_on_entry_state_guard_splits() {
 /// fused, with the miss visible in the stats.
 #[test]
 fn fused_superplan_cell_miss_falls_back_observably_identically() {
-    use devil_fuzz::superfuzz::{check_superplan_equivalence, install_synthetic, SuperCall};
+    use devil_fuzz::rooted::compare;
+    use devil_fuzz::superfuzz::{install_synthetic, SuperCall};
+    use devil_fuzz::Rig;
 
     let mut ir = ir(synthetic::MEM_TESTED);
     install_synthetic("memw", &mut ir);
@@ -287,15 +289,14 @@ fn fused_superplan_cell_miss_falls_back_observably_identically() {
 
     // And the whole shape — fused attempt, miss, fallback — must stay
     // differentially identical to the always-unfused reference.
-    let seq = vec![
-        (
-            vec![Op::WriteVar { vid: m, args: vec![], value: 1 }],
-            SuperCall { sid, args: vec![0x2a, 0b11], block_out: vec![], block_in_len: 0 },
-        ),
-        (
-            vec![Op::WriteVar { vid: m, args: vec![], value: 0x5a5a }],
-            SuperCall { sid, args: vec![0x15, 0b01], block_out: vec![], block_in_len: 0 },
-        ),
+    let call = |args: Vec<u64>| {
+        Op::Super(Box::new(SuperCall { sid, args, block_out: vec![], block_in_len: 0 }))
+    };
+    let ops = [
+        Op::WriteVar { vid: m, args: vec![], value: 1 },
+        call(vec![0x2a, 0b11]),
+        Op::WriteVar { vid: m, args: vec![], value: 0x5a5a },
+        call(vec![0x15, 0b01]),
     ];
-    check_superplan_equivalence(&ir, &seq).unwrap();
+    compare(&ir, Rig::Fast, Rig::Unfused, || ops.iter().cloned()).unwrap();
 }

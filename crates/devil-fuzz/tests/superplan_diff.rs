@@ -11,11 +11,9 @@
 //! equal what the superplan's declared [`ShapeOp`] sequence predicts
 //! under the bus cost model.
 
-use devil_fuzz::superfuzz::{
-    check_superplan_equivalence, check_superplan_equivalence_rooted, decode_super,
-    install_synthetic, super_sweep,
-};
-use devil_fuzz::{run, sweep_ops, Op};
+use devil_fuzz::rooted::compare;
+use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
+use devil_fuzz::{run, sweep_ops, Op, Rig};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
 use devil_sema::model::VarId;
@@ -73,7 +71,7 @@ fn superplan_surface_is_complete() {
 /// makes fused selection fall back — that path is pinned separately in
 /// `tests/fallback.rs`).
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
-    run(inst, dev, &sweep_ops(ir));
+    run(Rig::Fast, inst, dev, &sweep_ops(ir));
     let repair: Vec<Op> = (0..ir.vars.len() as u32)
         .map(VarId)
         .filter(|&v| ir.var(v).writable)
@@ -83,20 +81,24 @@ fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
             value: 0,
         })
         .collect();
-    run(inst, dev, &repair);
+    run(Rig::Fast, inst, dev, &repair);
 }
 
 /// The deterministic sweep: every superplan of every spec, four rounds
 /// of varying operands and block lengths (including zero-length
-/// blocks), fused vs unfused.
+/// blocks), fused vs unfused — condensed to one 32-byte root per rig,
+/// with the probe and final-state leaves after the calls.
 #[test]
 fn fused_sweep_is_indistinguishable_from_unfused() {
     for (name, ir) in irs() {
-        let seq = super_sweep(ir);
-        assert!(!seq.is_empty(), "{name}: sweep generated no superplan calls");
-        if let Err(e) = check_superplan_equivalence(ir, &seq) {
-            panic!("{name}: fused and unfused superplan paths diverge on the sweep\n{e}");
-        }
+        let ops = super_sweep(ir);
+        assert!(!ops.is_empty(), "{name}: sweep generated no superplan calls");
+        let out =
+            compare(ir, Rig::Fast, Rig::Unfused, || ops.iter().cloned()).unwrap_or_else(|e| {
+                panic!("{name}: fused and unfused superplan paths diverge on the sweep\n{e}")
+            });
+        assert_eq!(out.ops, ops.len() as u64, "{name}");
+        assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
     }
 }
 
@@ -111,18 +113,10 @@ fn warm_sweeps_run_entirely_fused() {
         warm(ir, &mut inst, &mut dev);
         let before = inst.plan_stats();
         let seq = super_sweep(ir);
-        for (_, call) in &seq {
-            let mut block_in = vec![0u64; call.block_in_len];
-            let mut outs = vec![0u64; ir.superplans()[call.sid].outputs];
-            inst.run_superplan(
-                &mut dev,
-                call.sid,
-                &call.args,
-                &call.block_out,
-                &mut block_in,
-                &mut outs,
-            )
-            .unwrap_or_else(|e| panic!("{name} sid {}: {e:?}", call.sid));
+        for op in &seq {
+            let Op::Super(call) = op else { panic!("{name}: the sweep yields only calls") };
+            let (r, _, _) = call.run(Rig::Fast, &mut inst, &mut dev);
+            r.unwrap_or_else(|e| panic!("{name} sid {}: {e:?}", call.sid));
         }
         let after = inst.plan_stats();
         assert_eq!(
@@ -240,47 +234,48 @@ fn fused_ledger_delta_matches_declared_shape() {
     }
 }
 
-/// The rooted fused-vs-unfused comparator condenses the sweep to one
-/// 32-byte root per rig and agrees with the linear comparator's
-/// verdict on every superplan-bearing spec.
+/// The rooted comparator condenses the sweep to one 32-byte root per
+/// rig, and the general interpreter reaches the unfused path's root on
+/// every superplan-bearing spec — so with the fused sweep above, all
+/// three rigs agree on one root.
 #[test]
 fn rooted_fused_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
-        let seq = super_sweep(ir);
-        let out = check_superplan_equivalence_rooted(ir, &seq)
-            .unwrap_or_else(|e| panic!("{name}: rooted fused sweep diverges\n{e}"));
-        assert_eq!(out.calls, seq.len() as u64, "{name}");
-        assert!(out.leaves > out.calls, "{name}: probe and final-state leaves missing");
+        let ops = super_sweep(ir);
+        let out = compare(ir, Rig::General, Rig::Unfused, || ops.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted general/unfused sweep diverges\n{e}"));
+        assert_eq!(out.ops, ops.len() as u64, "{name}");
+        assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Random interleavings of state-perturbing op preludes and
+    /// Random interleavings of state-perturbing single ops and
     /// superplan calls with arbitrary operands and block lengths —
     /// including cell-corrupting presets that force selection misses —
     /// must be indistinguishable between the fused and unfused paths.
-    /// The first drawn word picks the spec; the rest decode into calls.
+    /// The first drawn word picks the spec; the rest decode into ops.
     #[test]
     fn random_superplan_streams_agree(words in collection::vec(any::<u64>(), 2..32)) {
         let specs = irs();
         let (name, ir) = &specs[(words[0] % specs.len() as u64) as usize];
-        let seq = decode_super(ir, &words[1..]);
-        if let Err(e) = check_superplan_equivalence(ir, &seq) {
+        let ops = decode_super(ir, &words[1..]);
+        if let Err(e) = compare(ir, Rig::Fast, Rig::Unfused, || ops.iter().cloned()) {
             panic!("{name}: fused and unfused superplan paths diverge\n{e}");
         }
     }
 
-    /// The rooted comparator reaches the same verdict on random
-    /// superplan streams.
+    /// The general interpreter reaches the unfused path's root on
+    /// random superplan streams too.
     #[test]
     fn rooted_random_superplan_streams_agree(words in collection::vec(any::<u64>(), 2..24)) {
         let specs = irs();
         let (name, ir) = &specs[(words[0] % specs.len() as u64) as usize];
-        let seq = decode_super(ir, &words[1..]);
-        if let Err(e) = check_superplan_equivalence_rooted(ir, &seq) {
-            panic!("{name}: rooted fused/unfused comparison diverges\n{e}");
+        let ops = decode_super(ir, &words[1..]);
+        if let Err(e) = compare(ir, Rig::General, Rig::Unfused, || ops.iter().cloned()) {
+            panic!("{name}: rooted general/unfused comparison diverges\n{e}");
         }
     }
 }
