@@ -1,6 +1,12 @@
 //! Section 4.3 micro-analysis: the cost of one Devil interface call
 //! versus the hand-written equivalent, plus the interpreter's own
 //! wall-clock overhead (which motivates the generated-code back end).
+//!
+//! The `interp_*` rows are reference-model numbers: they time the
+//! general interpreter (`set_fast_plans(false)`), which the
+//! differential suites compare against and which serves only accesses
+//! that compiled no plan. Every planned access — debug checks on or
+//! off — runs the `plan_*` path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess};
@@ -24,8 +30,9 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // The seed interpreter doing the same masked write (general path:
-    // plan-regs walk, per-register compose, hash-free but dynamic).
+    // Reference model: the general interpreter doing the same masked
+    // write (plan-regs walk, per-register compose, hash-free but
+    // dynamic).
     g.bench_function("interp_masked_write", |b| {
         let mut inst = instance();
         inst.set_fast_plans(false);
@@ -47,8 +54,8 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // Steady-state idempotent read, general path vs precompiled plan
-    // (both serve from the cache; the plan path assembles from flat
+    // Steady-state idempotent read, reference model vs precompiled
+    // plan (both serve from the cache; the plan path assembles from flat
     // slots with zero hashing or cloning).
     let read_spec = r#"device demo (base : bit[8] port @ {0..0}) {
         register r = base @ 0 : bit[8];
@@ -89,8 +96,8 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // The general interpreter walking the order, running pre-actions
-    // and resolving names per field.
+    // Reference model: the general interpreter walking the order,
+    // running pre-actions and resolving names per field.
     g.bench_function("interp_struct_read", |b| {
         let mut inst = instance();
         inst.set_fast_plans(false);
@@ -160,8 +167,8 @@ fn bench_micro(c: &mut Criterion) {
         }
     };
 
-    // The general interpreter: condition evaluation over the cached
-    // fields, per-register compose, dynamic order walk.
+    // Reference model: the general interpreter's condition evaluation
+    // over the cached fields, per-register compose, dynamic order walk.
     g.bench_function("interp_pic_init", |b| {
         let mut inst = pic_instance();
         inst.set_fast_plans(false);
@@ -189,7 +196,7 @@ fn bench_micro(c: &mut Criterion) {
 
     // A formerly-fallback shape: a data read whose pre-action flushes
     // a struct with a *nested conditional* serialization (retired
-    // fallback cause 3). The general interpreter runs the whole action
+    // fallback cause 3). The reference model runs the whole action
     // machinery per read; the plan inlines the folded condition into
     // three straight-line steps.
     let nested_instance = || {
@@ -214,7 +221,8 @@ fn bench_micro(c: &mut Criterion) {
 
     // Retired fallback cause 1: a write whose condition tests the
     // variable being written — the plan selects its variant from the
-    // caller's value (input-sourced guard).
+    // caller's value (input-sourced guard); `interp_` is the reference
+    // model.
     let selfw_instance = || {
         let model = devil_sema::check_source(devil_fuzz::synthetic::SELF_TESTED, &[]).unwrap();
         DeviceInstance::new(devil_ir::lower(&model))

@@ -9,9 +9,9 @@
 //! (non-family) register through a fixed slot and constant offset, every
 //! guard tests a slot owned by a concrete register, and the guard-split
 //! variant count stays within [`VARIANT_EMIT_CAP`]. Everything else —
-//! family registers, hashed caches, the documented guard-split fallback
-//! causes — keeps the interpreter API, marked by a comment in the
-//! output.
+//! family registers, hashed caches, memory-cell guards, accesses the
+//! lowerer recorded in `plan_fallbacks` — keeps the interpreter API,
+//! marked by a comment in the output.
 
 use devil_ir::{
     AccessPlan, DeviceIr, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue,
@@ -48,10 +48,10 @@ pub fn plan_emittable(ir: &DeviceIr, plan: &AccessPlan) -> bool {
 fn guard_emittable(ir: &DeviceIr, g: &PlanGuard) -> bool {
     match g.source {
         GuardSource::Slot(s) => ir.slot_owner(s).is_some(),
-        // Cells store unmasked: a value outside the enumerated domain
-        // matches no variant, and the emitted exhaustive ternary/if
-        // chain — unlike the interpreter — has no general path to fall
-        // back to. Cell-guarded plans keep the interpreter API.
+        // A cell guard compares the clamped cell value (values outside
+        // the domain select the catch-all); the emitted ternary/if
+        // chains render only masked slot and input compares.
+        // Cell-guarded plans keep the interpreter API.
         GuardSource::Cell(_) => false,
         // The stub's own value argument; only write plans carry input
         // guards (the lowerer constructs them solely for the variable
@@ -106,8 +106,7 @@ fn step_verdict(ir: &DeviceIr, step: &PlanStep, superplan: bool) -> bool {
 /// [`plan_emittable`] (owned guard slots, bounded variant count) over
 /// the entry stage plus every fused variant, with the superplan's `Arg`
 /// operands admitted as stub parameters. Cell-guarded superplans keep
-/// the interpreter API like every other cell-guarded plan — the
-/// emitted exhaustive chain has no out-of-domain fallback.
+/// the interpreter API like every other cell-guarded plan.
 pub fn superplan_emittable(ir: &DeviceIr, sp: &devil_ir::Superplan) -> bool {
     if sp.plan.variants.is_empty() || sp.plan.variants.len() > VARIANT_EMIT_CAP {
         return false;

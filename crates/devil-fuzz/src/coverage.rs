@@ -1,8 +1,8 @@
 //! Coverage-guided corpus growth over the compiled plan surface.
 //!
 //! The runtime's opt-in dispatch trace names, for every access, exactly
-//! which straight-line plan variant executed — or why the general
-//! interpreter took over ([`devil_runtime::DispatchRecord`]). That is
+//! which straight-line plan variant executed — or that the general
+//! interpreter ran it ([`devil_runtime::DispatchRecord`]). That is
 //! the whole coverage signal this module feeds on: a [`CoverageSpace`]
 //! enumerates every compiled plan variant (plus memory-cell serves and
 //! fused superplan variants) of a spec up front, a [`Coverage`] map
@@ -18,11 +18,13 @@
 //! the fast/general and fused/unfused differential comparators, the
 //! compiled-C oracle, and the compiled-Rust oracle.
 //!
-//! Fallback dispatches (plans off, select miss, out-of-domain args …)
-//! feed novelty — a stream that discovers a new *way to miss* is worth
-//! keeping — but only plan variants make up the completeness
-//! denominator: fallback causes are unbounded in principle, variants
-//! are the compiled surface the paper's claim is about.
+//! Plan selection is total, so on the fast path the general interpreter
+//! only runs accesses that compiled no plan — today the direction errors
+//! (reading a write-only variable). Those general dispatches, the
+//! fallback shapes, feed novelty — a stream that discovers a new way
+//! off the plans is worth keeping — but only plan variants make up the
+//! completeness denominator: variants are the compiled surface the
+//! paper's claim is about.
 
 use crate::superfuzz::decode_super;
 use crate::{decode, run_op, Rig};
@@ -177,7 +179,7 @@ impl Coverage {
             return false;
         }
         match rec.outcome {
-            DispatchOutcome::Fallback(_) => self.fallbacks.insert(rec),
+            DispatchOutcome::General => self.fallbacks.insert(rec),
             // A variant index the space does not know cannot happen for
             // a trace over the same IR; treat it as non-novel rather
             // than corrupting the counts.
@@ -206,7 +208,7 @@ impl Coverage {
     }
 
     /// The distinct fallback shapes observed, rendered as stable,
-    /// sorted `access fallback Cause` lines. This is the set the
+    /// sorted `access general` lines. This is the set the
     /// nightly corpus job diffs across corpus generations: a grown
     /// corpus that discovers (or loses) a way to miss shows up as a
     /// line-level diff of the committed shape file, not just a count.
@@ -227,7 +229,7 @@ fn fallback_name(ir: &DeviceIr, rec: &DispatchRecord) -> String {
         AccessRef::Superplan(si) => format!("superplan {}", ir.superplans()[si].name),
     };
     match rec.outcome {
-        DispatchOutcome::Fallback(cause) => format!("{access} fallback {cause:?}"),
+        DispatchOutcome::General => format!("{access} general"),
         // Unreachable for records held in `fallbacks`, but total anyway.
         DispatchOutcome::Cell => format!("{access} cell"),
         DispatchOutcome::Variant(i) => format!("{access} variant {i}"),
@@ -423,7 +425,7 @@ fn contribution(
     for rec in covered_records(ir, words) {
         if let Some(&i) = space.index.get(&rec) {
             pts.insert(i);
-        } else if matches!(rec.outcome, DispatchOutcome::Fallback(_)) {
+        } else if rec.outcome == DispatchOutcome::General {
             falls.insert(rec);
         }
     }

@@ -474,9 +474,23 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 /// linear twin of [`rooted::compare`]`(Fast, General)`: it retains
 /// every line, which is still cheaper below ~100k ops.
 pub fn check_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<(), String> {
+    check_equivalence_with_checks(ir, ops, false)
+}
+
+/// [`check_equivalence`] with debug checks set to `checks` on both
+/// rigs: the plans validate around each access, the general
+/// interpreter inline, and both must reject the same ops with the same
+/// errors.
+pub fn check_equivalence_with_checks(
+    ir: &DeviceIr,
+    ops: &[Op],
+    checks: bool,
+) -> Result<(), String> {
     let mut fast = Rig::Fast.instance(ir);
+    fast.set_debug_checks(checks);
     let mut fast_dev = FakeAccess::new();
     let mut slow = Rig::General.instance(ir);
+    slow.set_debug_checks(checks);
     let mut slow_dev = FakeAccess::new();
 
     let obs_fast = run(Rig::Fast, &mut fast, &mut fast_dev, ops);

@@ -46,9 +46,8 @@ pub fn install_synthetic(name: &str, ir: &mut DeviceIr) {
             );
         }
         // Cell-guarded write order: selection reads the private cell at
-        // entry; an out-of-range cell aborts selection and the whole
-        // sequence falls back unfused (the remaining dynamic-fallback
-        // path, regression-pinned in `tests/fallback.rs`).
+        // entry; an out-of-range cell selects the fused catch-all
+        // variant (regression-pinned in `tests/fallback.rs`).
         "memw" => {
             let (resta, w) = (var(ir, "resta"), var(ir, "w"));
             fuse(

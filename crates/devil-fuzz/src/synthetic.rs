@@ -20,8 +20,8 @@ pub const SELF_TESTED: &str = r#"device selfw (base : bit[8] port @ {0..0}) {
 
 /// A write order testing a private memory cell: the plan guards on the
 /// cell (`GuardSource::Cell`). Cells store unmasked, so out-of-range
-/// cell values abort selection and fall back to the general path —
-/// observably identically.
+/// cell values select the dimension's catch-all variant, where
+/// `m == true` is false — observably identically to the general path.
 pub const MEM_TESTED: &str = r#"device memw (base : bit[8] port @ {0..1}) {
     private variable m : bool;
     register a = write base @ 0 : bit[8];

@@ -14,7 +14,9 @@ use devil_fuzz::rooted::{
     check_equivalence_rooted_stream, compare, diff_ops, replay_log, OpStream,
 };
 use devil_fuzz::superfuzz::{decode_super, install_synthetic};
-use devil_fuzz::{check_equivalence, decode, init_sweep_ops, sweep_ops, Op, Rig};
+use devil_fuzz::{
+    check_equivalence, check_equivalence_with_checks, decode, init_sweep_ops, sweep_ops, Op, Rig,
+};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use hwsim::mmr::{bisect_divergence, linear_divergence};
@@ -247,12 +249,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random op sequences over every embedded device: the fast-plan
-    /// and general interpreters must be observationally identical.
+    /// and general interpreters must be observationally identical, with
+    /// debug checks off or on in both (out-of-range written values and
+    /// device patterns must then fail at the same op).
     #[test]
-    fn fast_plan_and_general_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
+    fn fast_plan_and_general_interpreter_agree(
+        words in collection::vec(any::<u64>(), 1..48),
+        checks in any::<bool>(),
+    ) {
         for (name, ir) in irs() {
             let ops = decode(ir, &words);
-            let r = check_equivalence(ir, &ops);
+            let r = check_equivalence_with_checks(ir, &ops, checks);
             prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap_or_default());
         }
     }

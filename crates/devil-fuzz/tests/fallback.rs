@@ -10,7 +10,7 @@
 
 use devil_fuzz::{check_equivalence, synthetic, Op};
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FakeAccess};
 
 fn ir(src: &str) -> DeviceIr {
     devil_ir::lower(&devil_sema::check_source(src, &[]).expect("spec checks"))
@@ -64,14 +64,15 @@ fn self_written_tested_variable_compiles_input_guards() {
 
 /// Cause 2 (retired): the serialization condition tests a memory-cell
 /// variable. The plan guards on the cell directly; out-of-range cell
-/// values (cells store unmasked) abort selection and fall back to the
-/// general path, observably identically.
+/// values (cells store unmasked) select the catch-all variant, where
+/// every `==` test on the cell is false — observably identically to the
+/// general path.
 #[test]
 fn mem_cell_tested_variable_compiles_cell_guards() {
     let ir = ir(synthetic::MEM_TESTED);
     let w = ir.var_id("w").unwrap();
     let wp = ir.var(w).write_plan.as_ref().expect("mem-tested write must plan-compile");
-    assert_eq!(wp.variants.len(), 2, "one variant per cell value");
+    assert_eq!(wp.variants.len(), 3, "one variant per cell value, plus the catch-all");
     assert!(ir.plan_fallbacks().is_empty(), "{:?}", ir.plan_fallbacks());
 
     let m = ir.var_id("m").unwrap();
@@ -95,12 +96,22 @@ fn mem_cell_tested_variable_compiles_cell_guards() {
     assert_eq!(stats.guarded, 2, "both w writes take cell-guarded variants: {stats:?}");
     assert_eq!(stats.straight, 2, "mem-cell writes dispatch on their trivial plans: {stats:?}");
 
-    // An out-of-range cell value (cells store unmasked) must fall back
-    // to the general interpreter — and behave identically to it.
+    // An out-of-range cell value (cells store unmasked) must select the
+    // catch-all variant — and behave identically to the general path.
     inst.write_id(&mut dev, m, &[], 7).unwrap();
+    inst.set_dispatch_trace(true);
     inst.write_id(&mut dev, w, &[], 0b11).unwrap();
     assert_eq!(dev.log.last(), Some(&(true, 0, 0, 1)), "7 != true: only `a` flushes");
-    assert!(inst.plan_stats().general > 0, "out-of-range cell falls back loudly in the stats");
+    assert_eq!(
+        inst.take_dispatch_trace(),
+        vec![DispatchRecord {
+            access: AccessRef::WriteVar(w),
+            outcome: DispatchOutcome::Variant(2)
+        }],
+        "the out-of-range cell selects the catch-all"
+    );
+    let stats = inst.plan_stats();
+    assert_eq!(stats.general, 0, "the catch-all keeps the write on its plan: {stats:?}");
 
     let ops = vec![
         Op::WriteVar { vid: m, args: vec![], value: 1 },
@@ -242,11 +253,10 @@ fn nested_conditional_on_entry_state_guard_splits() {
     check_equivalence(&ir, &ops).unwrap();
 }
 
-/// Fused superplans inherit cause 2's one remaining dynamic fallback:
-/// a fused sequence crossing a cell-guarded access must abandon fusion
-/// when the cell holds an out-of-range value (cells store unmasked),
-/// re-dispatching op by op — observably identically to never having
-/// fused, with the miss visible in the stats.
+/// Fused superplans inherit cause 2's catch-all: a fused sequence
+/// crossing a cell-guarded access stays fused when the cell holds an
+/// out-of-range value (cells store unmasked), selecting the fused
+/// catch-all variant — observably identically to never having fused.
 #[test]
 fn fused_superplan_cell_miss_falls_back_observably_identically() {
     use devil_fuzz::rooted::compare;
@@ -272,23 +282,24 @@ fn fused_superplan_cell_miss_falls_back_observably_identically() {
     // (0x54); w=0b11 flushes `a` (0x55) and, with m=1, `c` (1).
     assert_eq!(dev.log, vec![(true, 0, 0, 0x54), (true, 0, 0, 0x55), (true, 0, 1, 1)]);
 
-    // Out-of-range cell: fused selection misses, the sequence falls
-    // back, and the cell-guarded write drops to the general path.
+    // Out-of-range cell: the fused catch-all variant runs, and nothing
+    // drops to the general path.
     inst.write_id(&mut dev, m, &[], 7).unwrap();
     let mark = dev.log.len();
     inst.run_superplan(&mut dev, sid, &[0x2a, 0b11], &[], &mut [], &mut []).unwrap();
     let st = inst.plan_stats();
-    assert_eq!(st.fused, 1, "no second fused dispatch: {st:?}");
-    assert_eq!(inst.superplan_hits()[sid], 1, "hit counts exclude fallbacks");
-    assert!(st.general > 0, "cell miss falls back loudly in the stats: {st:?}");
+    assert_eq!(st.fused, 2, "the out-of-range cell dispatches fused: {st:?}");
+    assert_eq!(inst.superplan_hits()[sid], 2);
+    assert_eq!(st.general, 0, "{st:?}");
     assert_eq!(
         &dev.log[mark..],
         &[(true, 0, 0, 0x55), (true, 0, 0, 0x55)],
         "7 != true: both writes flush only `a`"
     );
 
-    // And the whole shape — fused attempt, miss, fallback — must stay
-    // differentially identical to the always-unfused reference.
+    // And the whole shape — in-range and catch-all fused dispatches —
+    // must stay differentially identical to the always-unfused
+    // reference.
     let call = |args: Vec<u64>| {
         Op::Super(Box::new(SuperCall { sid, args, block_out: vec![], block_in_len: 0 }))
     };

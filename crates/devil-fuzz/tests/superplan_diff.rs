@@ -68,8 +68,8 @@ fn superplan_surface_is_complete() {
 /// validates every cache slot, then an in-range write of every
 /// writable variable repairs the memory cells the sweep deliberately
 /// stored raw (cells hold unmasked values, and an out-of-range cell
-/// makes fused selection fall back — that path is pinned separately in
-/// `tests/fallback.rs`).
+/// selects the fused catch-all variant — that path is pinned separately
+/// in `tests/fallback.rs`).
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
     run(Rig::Fast, inst, dev, &sweep_ops(ir));
     let repair: Vec<Op> = (0..ir.vars.len() as u32)
@@ -254,7 +254,7 @@ proptest! {
 
     /// Random interleavings of state-perturbing single ops and
     /// superplan calls with arbitrary operands and block lengths —
-    /// including cell-corrupting presets that force selection misses —
+    /// including cell-corrupting presets that select catch-all variants —
     /// must be indistinguishable between the fused and unfused paths.
     /// The first drawn word picks the spec; the rest decode into ops.
     #[test]

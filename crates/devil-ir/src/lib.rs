@@ -65,9 +65,11 @@ pub struct PlanFallback {
 /// this (deep automata, huge serializations) keep the general path.
 const PLAN_STEP_BUDGET: usize = 96;
 
-/// Action recursion budget, mirroring the runtime's `MAX_DEPTH`: a
-/// specification the runtime would reject as cyclic compiles no plan.
-const PLAN_MAX_DEPTH: u32 = 32;
+/// Maximum pre/post-action recursion depth. The general interpreter
+/// reports `RecursionLimit` past it (assuming a cyclic specification),
+/// and an access whose expansion would reach past it compiles no plan,
+/// so a plan dispatched at depth 0 never outruns the limit.
+pub const MAX_DEPTH: u32 = 32;
 
 /// The lowered device: everything indexed and precomputed.
 #[derive(Clone, Debug)]
@@ -387,8 +389,10 @@ pub enum GuardSource {
     /// slots compare as 0 — exactly the general interpreter's
     /// `assemble_cached` default for unread registers.
     Slot(usize),
-    /// A private memory cell, compared whole (the general path reads
-    /// the cell raw, with no width masking).
+    /// A private memory cell. Cells store unmasked, so the raw value
+    /// is clamped to the guard's `mask` — the dimension's catch-all
+    /// index `2^width` — before the compare: one catch-all guard covers
+    /// every value outside the variable's raw space.
     Cell(usize),
     /// The value being written by the access itself. Used when a write
     /// order's condition tests the variable being written: the general
@@ -403,8 +407,8 @@ pub enum GuardSource {
 pub struct PlanGuard {
     /// Where the tested bits come from.
     pub source: GuardSource,
-    /// Tested bits (register bits for slots, value bits for cells and
-    /// input).
+    /// Tested bits (register bits for slots, value bits for input);
+    /// for cells, the ceiling the raw value clamps to.
     pub mask: u64,
     /// Expected masked value.
     pub expected: u64,
@@ -422,7 +426,7 @@ impl PlanGuard {
                     0
                 }
             }
-            GuardSource::Cell(c) => mem[c],
+            GuardSource::Cell(c) => return mem[c].min(self.mask) == self.expected,
             GuardSource::Input => input,
         };
         raw & self.mask == self.expected
@@ -465,12 +469,14 @@ pub struct SelectorDim {
     /// Tested-value bits covered by `input_segs` (cleared out of the
     /// cache-assembled value before the input bits are OR-ed in).
     pub input_mask: u64,
-    /// Memory cell holding the tested value (`segs` empty). The cell is
-    /// compared raw: a value outside the enumerated `radix` (the
-    /// general path stores cells unmasked) aborts selection, and the
-    /// access falls back to the general interpreter.
+    /// Memory cell holding the tested value (`segs` empty). Cells store
+    /// unmasked, so the dimension carries one catch-all index past the
+    /// variable's raw space: a cell value of `2^width` or more clamps to
+    /// index `2^width`, where every `==` test on the cell is false —
+    /// exactly how the general interpreter evaluates such a value.
     pub cell: Option<usize>,
-    /// `2^width` — the mixed-radix base of this dimension.
+    /// The mixed-radix base of this dimension: `2^width`, plus one for
+    /// a cell dimension's catch-all index.
     pub radix: usize,
 }
 
@@ -489,14 +495,16 @@ pub struct SelectorDim {
 /// tested value is statically known or still entry-state at the
 /// evaluation point). Action values read from other variables, hashed
 /// family caches, mid-access-modified tested variables, guard domains
-/// past [`GUARD_DOMAIN_CAP`] and over-budget expansions fall back to
-/// the general interpreter — each recorded in
+/// past [`GUARD_DOMAIN_CAP`], expansions past [`MAX_DEPTH`] or the step
+/// budget, and nested action writes that debug checks could reject fall
+/// back to the general interpreter — each recorded in
 /// [`DeviceIr::plan_fallbacks`] so nothing bails silently.
 #[derive(Clone, Debug, Default)]
 pub struct AccessPlan {
     /// Straight-line variants. The guard enumeration is exhaustive over
-    /// the tested variables' raw-value spaces, so exactly one variant
-    /// matches any cache state, and variants are laid out in
+    /// the tested variables' raw-value spaces (plus each cell
+    /// dimension's catch-all), so exactly one variant matches any
+    /// cache, memory and input state, and variants are laid out in
     /// mixed-radix order of the tested values (first tested variable
     /// most significant) so selection is an indexed lookup.
     pub variants: Vec<PlanVariant>,
@@ -509,27 +517,20 @@ pub struct AccessPlan {
     /// For a memory-cell variable's read plan: the cell served directly
     /// (`assemble` empty, no steps).
     pub cell: Option<usize>,
-    /// The deepest action-recursion level the general interpreter would
-    /// reach executing this access from depth 0 (the maximum over all
-    /// variants). The runtime only takes a plan when the current depth
-    /// plus this bound stays within its recursion limit, so a plan can
-    /// never succeed where the general path would report
-    /// `RecursionLimit`.
-    pub max_depth: u32,
 }
 
 impl AccessPlan {
-    /// Selects the variant matching the given cache/memory/input
-    /// state: the tested variables assemble from their sources and
-    /// index the mixed-radix variant table directly — O(tested
+    /// Selects the variant matching the given cache/memory/input state,
+    /// with its mixed-radix index: the tested variables assemble from
+    /// their sources and index the variant table directly — O(tested
     /// segments), never a scan over the variants, so a wide guard
     /// domain costs no more to dispatch than a narrow one.
     /// Unconditional plans return their single variant without touching
-    /// the cache. `None` means no variant describes the state — only
-    /// reachable through a memory cell holding a value outside its
-    /// variable's raw space (cells store unmasked) — and callers fall
-    /// back to the general interpreter, which evaluates the conditions
-    /// directly.
+    /// the cache. Selection is total: segment extracts land below their
+    /// dimension's radix, and a cell value outside its variable's raw
+    /// space clamps to the dimension's catch-all index. The index is
+    /// also what coverage-guided harnesses key on: `(access, index)`
+    /// names one straight-line variant of the compiled plan surface.
     #[inline]
     pub fn select_variant(
         &self,
@@ -537,29 +538,11 @@ impl AccessPlan {
         slot_valid: &[bool],
         mem: &[u64],
         input: u64,
-    ) -> Option<&PlanVariant> {
-        self.select_variant_indexed(slots, slot_valid, mem, input).map(|(_, v)| v)
-    }
-
-    /// [`AccessPlan::select_variant`] with the computed mixed-radix
-    /// variant index exposed. The index is what coverage-guided
-    /// harnesses key on: `(access, index)` names one straight-line
-    /// variant of the compiled plan surface.
-    #[inline]
-    pub fn select_variant_indexed(
-        &self,
-        slots: &[u64],
-        slot_valid: &[bool],
-        mem: &[u64],
-        input: u64,
-    ) -> Option<(usize, &PlanVariant)> {
-        if self.selector.is_empty() {
-            return self.variants.first().map(|v| (0, v));
-        }
+    ) -> (usize, &PlanVariant) {
         let mut idx = 0usize;
         for dim in &self.selector {
             let mut v = if let Some(cell) = dim.cell {
-                mem[cell]
+                mem[cell].min(dim.radix as u64 - 1)
             } else {
                 let mut v = 0u64;
                 for &(slot, seg) in &dim.segs {
@@ -574,17 +557,14 @@ impl AccessPlan {
                     v |= seg.extract(input);
                 }
             }
-            if v >= dim.radix as u64 {
-                return None;
-            }
             idx = idx * dim.radix + v as usize;
         }
-        let variant = self.variants.get(idx)?;
+        let variant = &self.variants[idx];
         debug_assert!(
             variant.guards.iter().all(|g| g.holds(slots, slot_valid, mem, input)),
             "selector index and guard list disagree"
         );
-        Some((idx, variant))
+        (idx, variant)
     }
 }
 
@@ -1098,9 +1078,6 @@ struct PlanBuilder<'a> {
     /// state below.
     assign: Vec<(VarId, u64)>,
     steps: Vec<PlanStep>,
-    /// Deepest recursion level visited, with the exact accounting of
-    /// the general interpreter (see [`AccessPlan::max_depth`]).
-    max_depth: u32,
     /// Slots that must not be touched until their own write step is
     /// emitted: the general path composes a register write from the
     /// cache *before* running its pre-actions and stores variable bits
@@ -1126,7 +1103,6 @@ impl<'a> PlanBuilder<'a> {
             params,
             assign,
             steps: Vec::new(),
-            max_depth: 0,
             guarded: Vec::new(),
             slot_sym: vec![
                 SlotSym {
@@ -1180,11 +1156,11 @@ impl<'a> PlanBuilder<'a> {
         None
     }
 
-    /// Records a visited recursion level; bails past the budget (the
-    /// general interpreter would report `RecursionLimit`).
+    /// Checks a visited recursion level, with the exact accounting of
+    /// the general interpreter; bails past [`MAX_DEPTH`] (the general
+    /// interpreter would report `RecursionLimit`).
     fn note_depth(&mut self, depth: u32) -> Option<()> {
-        self.max_depth = self.max_depth.max(depth);
-        if depth > PLAN_MAX_DEPTH {
+        if depth > MAX_DEPTH {
             return self.fail("action recursion exceeds the depth budget");
         }
         Some(())
@@ -1651,6 +1627,15 @@ impl<'a> PlanBuilder<'a> {
                     let Some(v) = Self::action_value(value, ctx) else {
                         return self.fail("action value is read from another variable at run time");
                     };
+                    // Debug checks validate every nested variable write
+                    // in the general interpreter, but only a plan's
+                    // top-level value: a nested value they could reject
+                    // keeps the general path.
+                    if !self.always_valid_write(*vid, v) {
+                        let name = &self.env.vars[vid.0 as usize].name;
+                        return self
+                            .fail(format!("action may write `{name}` a value outside its type"));
+                    }
                     self.write_var(*vid, v, &[], depth + 1)?;
                 }
                 (ActionTarget::Struct(sid), ActionValue::Struct(fields)) => {
@@ -1668,6 +1653,25 @@ impl<'a> PlanBuilder<'a> {
             }
         }
         Some(())
+    }
+
+    /// Whether every value `v` can take is a legal write of `vid`'s
+    /// type: a constant (a `*` or an absent parameter writes 0), or any
+    /// argument of the family parameter `v` reads. Decided per domain
+    /// range, so a wide parameter domain costs no enumeration.
+    fn always_valid_write(&self, vid: VarId, v: PlanValue) -> bool {
+        let ty = &self.env.vars[vid.0 as usize].ty;
+        match v {
+            PlanValue::Const(c) => ty.valid_write(c),
+            PlanValue::Arg(i) => self.params[i].values.iter().all(|&(lo, hi)| match ty {
+                // Legal values form a prefix: the range fits iff `hi` does.
+                TypeSem::UInt(_) | TypeSem::SInt(_) | TypeSem::Bool => ty.valid_write(hi),
+                TypeSem::IntSet { set, .. } => set.iter().any(|&(a, b)| a <= lo && hi <= b),
+                // Stops at the first value past the enumerated arms.
+                TypeSem::Enum(_) => (lo..=hi).all(|a| ty.valid_write(a)),
+            }),
+            PlanValue::Input => false,
+        }
     }
 
     /// An action value as a plan value, when statically known.
@@ -1965,7 +1969,7 @@ struct DimInfo {
     input_segs: Vec<FieldSeg>,
     /// Tested-value bits sourced from the input.
     input_mask: u64,
-    /// `2^width`.
+    /// `2^width`, plus one catch-all index for a cell.
     radix: usize,
 }
 
@@ -1986,12 +1990,13 @@ fn dim_info(
     }
     let radix = 1usize << var.width;
     if let Some(cell) = var.mem_cell {
+        // One catch-all index past the raw space (see `SelectorDim::cell`).
         return Ok(DimInfo {
             cell: Some(cell),
             cache_segs: Vec::new(),
             input_segs: Vec::new(),
             input_mask: 0,
-            radix,
+            radix: radix + 1,
         });
     }
     let w_segs: &[VarSeg] = written.map_or(&[], |w| &vars[w.0 as usize].segs[..]);
@@ -2050,7 +2055,8 @@ fn dim_info(
 /// The guards pinning one dimension to the enumerated value `v`.
 fn dim_guards(dim: &DimInfo, v: u64, out: &mut Vec<PlanGuard>) {
     if let Some(cell) = dim.cell {
-        out.push(PlanGuard { source: GuardSource::Cell(cell), mask: u64::MAX, expected: v });
+        let mask = dim.radix as u64 - 1;
+        out.push(PlanGuard { source: GuardSource::Cell(cell), mask, expected: v });
         return;
     }
     for &(slot, seg, cmask) in &dim.cache_segs {
@@ -2100,7 +2106,7 @@ fn compile_guarded(
     params: &[FamilyParam],
     arena: &mut Vec<PlanStep>,
     body: &mut dyn FnMut(&mut PlanBuilder, &[RegId]) -> Option<()>,
-) -> Result<(Vec<SelectorDim>, Vec<PlanVariant>, u32), String> {
+) -> Result<(Vec<SelectorDim>, Vec<PlanVariant>), String> {
     let mut tested: Vec<VarId> = Vec::new();
     collect_cond_vars(order, &mut tested);
     'retry: loop {
@@ -2118,7 +2124,6 @@ fn compile_guarded(
         }
         let rollback = arena.len();
         let mut variants = Vec::with_capacity(domain as usize);
-        let mut max_depth = 0;
         let mut assign: Vec<(VarId, u64)> = tested.iter().map(|&tv| (tv, 0)).collect();
         loop {
             let mut b = PlanBuilder::new(env, params, assign.clone());
@@ -2138,7 +2143,6 @@ fn compile_guarded(
                 }
                 return Err(b.fail_reason.unwrap_or_else(|| "plan compilation bailed".into()));
             }
-            max_depth = max_depth.max(b.max_depth);
             let mut guards = Vec::new();
             for (dim, &(_, v)) in dims.iter().zip(&assign) {
                 dim_guards(dim, v, &mut guards);
@@ -2150,7 +2154,7 @@ fn compile_guarded(
             let mut i = assign.len();
             loop {
                 if i == 0 {
-                    return Ok((dims.iter().map(selector_dim).collect(), variants, max_depth));
+                    return Ok((dims.iter().map(selector_dim).collect(), variants));
                 }
                 i -= 1;
                 if assign[i].1 + 1 < dims[i].radix as u64 {
@@ -2210,7 +2214,6 @@ fn compile_var_plans(
                 selector: Vec::new(),
                 assemble: Vec::new(),
                 cell,
-                max_depth: 0,
             })
         });
         // The write compiles through the guard-split driver even though
@@ -2222,12 +2225,11 @@ fn compile_var_plans(
             match compile_guarded(env, &[], None, &var.params, arena, &mut |b, _order| {
                 b.write_var_ordered(vid, PlanValue::Input, &[], &[], 0)
             }) {
-                Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
+                Ok((selector, variants)) => Some(Arc::new(AccessPlan {
                     variants,
                     selector,
                     assemble: Vec::new(),
                     cell: None,
-                    max_depth,
                 })),
                 Err(cause) => {
                     fallbacks.push(PlanFallback { access: format!("write {}", var.name), cause });
@@ -2263,13 +2265,9 @@ fn compile_var_plans(
                 arena,
                 &mut |b, order| b.read_var_ordered(vid, &args, order),
             ) {
-                Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-                    variants,
-                    selector,
-                    assemble,
-                    cell: None,
-                    max_depth,
-                })),
+                Ok((selector, variants)) => {
+                    Some(Arc::new(AccessPlan { variants, selector, assemble, cell: None }))
+                }
                 Err(cause) => {
                     fallbacks.push(PlanFallback { access: format!("read {}", var.name), cause });
                     None
@@ -2288,13 +2286,9 @@ fn compile_var_plans(
             arena,
             &mut |b, order| b.write_var_ordered(vid, PlanValue::Input, &args, order, 0),
         ) {
-            Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-                variants,
-                selector,
-                assemble: Vec::new(),
-                cell: None,
-                max_depth,
-            })),
+            Ok((selector, variants)) => {
+                Some(Arc::new(AccessPlan { variants, selector, assemble: Vec::new(), cell: None }))
+            }
             Err(cause) => {
                 fallbacks.push(PlanFallback { access: format!("write {}", var.name), cause });
                 None
@@ -2321,13 +2315,9 @@ fn compile_struct_plans(
     let read = match compile_guarded(env, &st.read_order, None, &[], arena, &mut |b, order| {
         b.read_struct_ordered(order)
     }) {
-        Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-            variants,
-            selector,
-            assemble: Vec::new(),
-            cell: None,
-            max_depth,
-        })),
+        Ok((selector, variants)) => {
+            Some(Arc::new(AccessPlan { variants, selector, assemble: Vec::new(), cell: None }))
+        }
         Err(cause) => {
             if order_usable(env.regs, &st.read_order, false) {
                 fallbacks.push(PlanFallback { access: format!("read struct {}", st.name), cause });
@@ -2338,13 +2328,9 @@ fn compile_struct_plans(
     let write = match compile_guarded(env, &st.write_order, None, &[], arena, &mut |b, order| {
         b.flush_struct_ordered(sid, &[], order, 0)
     }) {
-        Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-            variants,
-            selector,
-            assemble: Vec::new(),
-            cell: None,
-            max_depth,
-        })),
+        Ok((selector, variants)) => {
+            Some(Arc::new(AccessPlan { variants, selector, assemble: Vec::new(), cell: None }))
+        }
         Err(cause) => {
             if order_usable(env.regs, &st.write_order, true) {
                 fallbacks.push(PlanFallback { access: format!("write struct {}", st.name), cause });
@@ -2556,14 +2542,13 @@ pub struct ShapeOp {
 pub struct Superplan {
     /// Superplan name (the driver's handle).
     pub name: String,
-    /// The declared op sequence, for the runtime's unfused reference
-    /// path (selection misses fall back through it).
+    /// The declared op sequence, for the runtime's unfused path (the
+    /// differential reference, and the op-by-op run that validates
+    /// each op under debug checks).
     pub ops: Vec<FuseOp>,
     /// Unconditional stage prefix (the leading `SetField` ops as
     /// cache/cell stores), executed before selection — exactly where
-    /// the unfused sequence stores them, and idempotent, so a
-    /// selection-miss fallback re-staging through the general path is
-    /// observably identical.
+    /// the unfused sequence stores them.
     pub stage: PlanVariant,
     /// Selector (concatenated per-op dims) and fused variants.
     pub plan: AccessPlan,
@@ -2657,7 +2642,6 @@ impl DeviceIr {
         // missing plans, family arguments and input-tested selectors
         // are loud errors.
         let mut bodies: Vec<FuseOpBody> = Vec::new();
-        let mut max_depth = 1u32;
         let mut outputs = 0usize;
         let mut block_in_ops = 0usize;
         let mut block_out_ops = 0usize;
@@ -2675,7 +2659,6 @@ impl DeviceIr {
                     let Some(plan) = v.write_plan.clone() else {
                         return Err(err(i, &format!("{} has no write plan", v.name)));
                     };
-                    max_depth = max_depth.max(plan.max_depth);
                     self.op_body(&plan, Some(*value), None).map_err(|e| err(i, &e))?
                 }
                 FuseOp::Read { var } => {
@@ -2695,7 +2678,6 @@ impl DeviceIr {
                     if plan.cell.is_some() {
                         return Err(err(i, &format!("{} is a memory cell", v.name)));
                     }
-                    max_depth = max_depth.max(plan.max_depth);
                     let out = outputs as u32;
                     outputs += 1;
                     self.op_body(&plan, None, Some(out)).map_err(|e| err(i, &e))?
@@ -2704,7 +2686,6 @@ impl DeviceIr {
                     let Some(plan) = self.strct(*strct).write_plan.clone() else {
                         return Err(err(i, "structure has no write plan"));
                     };
-                    max_depth = max_depth.max(plan.max_depth);
                     self.op_body(&plan, None, None).map_err(|e| err(i, &e))?
                 }
                 FuseOp::ReadBlock { var } => {
@@ -2838,13 +2819,7 @@ impl DeviceIr {
             name: name.to_string(),
             ops,
             stage,
-            plan: AccessPlan {
-                variants,
-                selector: dims,
-                assemble: Vec::new(),
-                cell: None,
-                max_depth,
-            },
+            plan: AccessPlan { variants, selector: dims, assemble: Vec::new(), cell: None },
             outputs,
             args,
             shape,
@@ -3555,13 +3530,13 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         for raw in 0u64..4 {
             slots[icw1_slot] = raw;
             valid[icw1_slot] = true;
-            let v = wp.select_variant(&slots, &valid, &mem, 0).expect("selection is total");
+            let (_, v) = wp.select_variant(&slots, &valid, &mem, 0);
             assert!(v.guards.iter().all(|g| g.holds(&slots, &valid, &mem, 0)), "raw {raw:#b}");
         }
         // Uncached slots read as 0, exactly the general path's default:
         // sngl=CASCADED (icw3 written), ic4=NO (icw4 skipped).
         valid[icw1_slot] = false;
-        assert_eq!(wp.select_variant(&slots, &valid, &mem, 0).unwrap().len, 4);
+        assert_eq!(wp.select_variant(&slots, &valid, &mem, 0).1.len, 4);
     }
 
     #[test]
@@ -3798,11 +3773,11 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         );
         let w = ir.var(ir.var_id("w").unwrap());
         let wp = w.write_plan.as_ref().expect("mem-tested write must guard on the cell");
-        assert_eq!(wp.variants.len(), 2);
+        assert_eq!(wp.variants.len(), 3, "false, true, and the catch-all");
         assert_eq!(wp.selector[0].cell, Some(0));
         assert_eq!(
             wp.variants[1].guards,
-            vec![PlanGuard { source: GuardSource::Cell(0), mask: u64::MAX, expected: 1 }]
+            vec![PlanGuard { source: GuardSource::Cell(0), mask: 2, expected: 1 }]
         );
         // m == 0: only `a` flushes; `c`'s staged bit stores cache-only.
         let v0 = ir.variant_steps(&wp.variants[0]);
@@ -3812,12 +3787,19 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         let v1 = ir.variant_steps(&wp.variants[1]);
         assert_eq!(v1.len(), 2);
         assert!(v1.iter().all(|s| matches!(s, PlanStep::Write(..))));
-        // Out-of-range cell values (cells store unmasked) abort
-        // selection — the caller falls back to the general path.
+        // Out-of-range cell values (cells store unmasked) select the
+        // catch-all, where `m == true` is false: like m == 0, only `a`
+        // flushes.
         let slots = vec![0u64; ir.cache_slots];
         let valid = vec![false; ir.cache_slots];
-        assert!(wp.select_variant(&slots, &valid, &[1], 0).is_some());
-        assert!(wp.select_variant(&slots, &valid, &[7], 0).is_none());
+        assert_eq!(wp.select_variant(&slots, &valid, &[1], 0).0, 1);
+        let (idx, catch_all) = wp.select_variant(&slots, &valid, &[7], 0);
+        assert_eq!(idx, 2, "out-of-range cell values select the catch-all");
+        assert!(catch_all.guards[0].holds(&slots, &valid, &[u64::MAX], 0));
+        assert!(!catch_all.guards[0].holds(&slots, &valid, &[1], 0));
+        let v2 = ir.variant_steps(catch_all);
+        assert!(matches!(&v2[0], PlanStep::Store(..)), "{v2:?}");
+        assert!(matches!(&v2[1], PlanStep::Write(..)));
         // The mem cell itself has plans now: cell-served read, SetCell
         // write.
         let m = ir.var(ir.var_id("m").unwrap());
@@ -3984,17 +3966,27 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
     }
 
     #[test]
-    fn plans_carry_the_general_paths_depth_accounting() {
-        let ir = ir_for(BUSMOUSE);
-        // config write: one register, no actions. The general path
-        // enters write_register at depth 1.
-        let config = ir.var(ir.var_id("config").unwrap());
-        assert_eq!(config.write_plan.as_ref().unwrap().max_depth, 1);
-        // dx read folds `index = N` pre-actions: read_register at 0,
-        // run_actions at 1, write_id_depth(index) at 2, its
-        // write_register at 3.
-        let dx = ir.var(ir.var_id("dx").unwrap());
-        assert_eq!(dx.read_plan.as_ref().unwrap().max_depth, 3);
+    fn nested_action_values_outside_the_target_type_keep_the_general_path() {
+        // Debug checks validate nested variable writes in the general
+        // interpreter, so a plan may fold an action value only when
+        // every value it can take is legal for the target's type.
+        let spec = |ia: &str| {
+            format!(
+                r#"device d (base : bit[8] port @ {{0..1}}) {{
+                     register control = base @ 0, mask '...*****' : bit[8];
+                     variable IA = control[4..0] : {ia};
+                     register I(i : int{{0..31}}) = base @ 1, pre {{IA = i}} : bit[8];
+                     variable ID(i : int{{0..31}}) = I(i), volatile : int(8);
+                   }}"#
+            )
+        };
+        let ir = ir_for(&spec("int{0..31}"));
+        assert!(ir.plan_fallbacks().is_empty(), "{:?}", ir.plan_fallbacks());
+        let ir = ir_for(&spec("int{0..15}"));
+        let id = ir.var(ir.var_id("ID").unwrap());
+        assert!(id.read_plan.is_none() && id.write_plan.is_none());
+        let causes: Vec<&str> = ir.plan_fallbacks().iter().map(|f| f.cause.as_str()).collect();
+        assert_eq!(causes, ["action may write `IA` a value outside its type"; 2]);
     }
 
     #[test]

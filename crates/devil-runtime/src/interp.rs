@@ -18,20 +18,28 @@
 //!   guard-split plan variants: a [`devil_ir::PlanGuard`] list selects
 //!   the straight-line version from flat cache slots,
 //! * optional debug checks validate written values and read patterns.
+//!
+//! Two engines implement those semantics. Every access with a compiled
+//! plan takes one path, `DeviceInstance::dispatch`: total variant
+//! selection, then the variant's arena steps. Debug checks validate
+//! around it — the written value before, the read value after — and
+//! superplans run op by op while they are on. The general interpreter
+//! walks the specification's actions and orders directly. It is the
+//! reference model ([`DeviceInstance::set_fast_plans`]`(false)`), and
+//! it serves the accesses the lowerer recorded in
+//! [`DeviceIr::plan_fallbacks`], block transfers, and the direction
+//! errors (reading a write-only variable) that compile no plan.
+//! Nested writes the general interpreter issues stay on it.
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use devil_ir::{DeviceIr, FuseOp, PlanStep};
+use devil_ir::{DeviceIr, FuseOp, PlanStep, VarIr, MAX_DEPTH};
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, Neutral, RegId, SerStep, StructId,
     TypeSem, VarId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Maximum pre/post-action recursion depth before the runtime assumes a
-/// cyclic specification and errors out.
-const MAX_DEPTH: u32 = 32;
 
 /// Counters describing how accesses were dispatched, for benches and
 /// the differential fuzzer's plan-coverage assertions.
@@ -42,12 +50,11 @@ pub struct PlanStats {
     /// Accesses executed by a guard-selected plan variant (conditional
     /// serialization on the fast path).
     pub guarded: u64,
-    /// Accesses handled by the general interpreter: no compiled plan,
-    /// plans disabled, debug checks on, depth-gated fallbacks, or a
-    /// memory cell holding a value outside its variable's raw space
-    /// (cells store unmasked, so a cell-guarded selection can miss).
-    /// Memory-cell variables themselves dispatch on (trivial) plans
-    /// and count as `straight`.
+    /// Accesses handled by the general interpreter, nested action
+    /// writes included: plans disabled, or an access that compiled no
+    /// plan (a recorded [`DeviceIr::plan_fallbacks`] entry, a block
+    /// transfer's actions, a direction error). Memory-cell variables
+    /// dispatch on (trivial) plans and count as `straight`.
     pub general: u64,
     /// Fused superplan dispatches: whole driver-declared hot sequences
     /// executed as one guard evaluation plus one arena walk
@@ -124,25 +131,6 @@ pub enum AccessRef {
     Superplan(usize),
 }
 
-/// Why a dispatch bypassed its compiled plan and took the general
-/// interpreter (or, for superplans, the unfused op sequence).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FallbackCause {
-    /// Fast plans disabled or debug checks on.
-    PlansOff,
-    /// The access compiled no plan.
-    NoPlan,
-    /// A family argument fell outside its parameter domain, so the
-    /// general path handles (and error-reports) the access.
-    ArgDomain,
-    /// Cell-guarded selection missed: a memory cell holds a value
-    /// outside its variable's raw space (cells store unmasked).
-    SelectMiss,
-    /// The cumulative recursion depth plus the plan's own bound would
-    /// exceed the general path's limit.
-    Depth,
-}
-
 /// How one dispatch resolved, when the opt-in trace is recording.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DispatchOutcome {
@@ -152,15 +140,14 @@ pub enum DispatchOutcome {
     Variant(u32),
     /// A memory-cell read served directly from the cell (no steps).
     Cell,
-    /// The general interpreter (or the unfused superplan sequence)
-    /// handled the access.
-    Fallback(FallbackCause),
+    /// The general interpreter handled the access.
+    General,
 }
 
 /// One dispatch recorded by the opt-in trace
 /// ([`DeviceInstance::set_dispatch_trace`]): which access ran and which
-/// plan variant — or fallback cause — it resolved to. This is the
-/// coverage signal the guided fuzzer feeds on.
+/// plan variant it resolved to, or that the general interpreter ran
+/// it. This is the coverage signal the guided fuzzer feeds on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DispatchRecord {
     /// The dispatched access.
@@ -401,15 +388,18 @@ impl DeviceInstance {
     }
 
     /// Enables or disables debug-mode run-time checks (the paper's
-    /// `DEVIL_DEBUG`). Checked accesses take the general interpreter
-    /// path, so plans are effectively bypassed while checks are on.
+    /// `DEVIL_DEBUG`). Planned accesses stay on their plans: the
+    /// written value is validated before a write or `set_field`, the
+    /// read value after a read or `get_field`, and superplans run
+    /// unfused so each op is validated.
     pub fn set_debug_checks(&mut self, on: bool) {
         self.checks = on;
     }
 
     /// Enables or disables the precompiled-plan fast path (on by
-    /// default; turning it off forces the general interpreter, which
-    /// the micro benchmarks use as the baseline).
+    /// default; turning it off selects the general interpreter as the
+    /// reference model, which the differential suites and the micro
+    /// benchmarks compare against).
     pub fn set_fast_plans(&mut self, on: bool) {
         self.fast_plans = on;
     }
@@ -438,9 +428,9 @@ impl DeviceInstance {
     }
 
     /// Turns the per-dispatch trace on or off. While on, every
-    /// top-level variable/struct/superplan dispatch records which plan
-    /// variant it selected (or why it fell back), for the
-    /// coverage-guided fuzzer. Off by default; turning it off discards
+    /// top-level variable/struct dispatch and every fused superplan
+    /// records which plan variant it selected (or that the general
+    /// interpreter ran it), for the coverage-guided fuzzer. Off by default; turning it off discards
     /// any pending records.
     pub fn set_dispatch_trace(&mut self, on: bool) {
         if on {
@@ -577,80 +567,34 @@ impl DeviceInstance {
         vid: VarId,
         args: &[u64],
     ) -> RtResult<u64> {
-        // Fast path: precompiled plan, flat slots, zero hashing and no
-        // name or action resolution. Guards select the variant for
-        // conditional serializations. Family arguments are validated
-        // against the parameter domains first (out-of-domain arguments
-        // fall through so the general path reports the exact error).
-        // Debug checks take the general path so every validation runs.
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            let var = ir.var(vid);
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &var.read_plan {
-                cause = FallbackCause::ArgDomain;
-                if var.params.len() == args.len()
-                    && var.params.iter().zip(args).all(|(p, &a)| p.contains(a))
-                {
-                    // Memory cells serve directly — no steps, no guards.
-                    if let Some(cell) = plan.cell {
-                        stats.straight += 1;
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::ReadVar(vid),
-                                outcome: DispatchOutcome::Cell,
-                            });
-                        }
-                        return Ok(mem[cell]);
-                    }
-                    cause = FallbackCause::SelectMiss;
-                    if let Some((idx, variant)) =
-                        plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                    {
-                        let serve_cached = !var.behavior.volatile && !var.behavior.read_trigger;
-                        if !(serve_cached
-                            && plan.assemble.iter().all(|(s, _)| slot_valid[s.resolve(args)]))
-                        {
-                            exec_plan_steps(
-                                dev,
-                                slots,
-                                slot_valid,
-                                mem,
-                                ir.variant_steps(variant),
-                                args,
-                                0,
-                                &mut SuperIo::none(),
-                            );
-                        }
-                        if variant.guards.is_empty() {
-                            stats.straight += 1;
-                        } else {
-                            stats.guarded += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::ReadVar(vid),
-                                outcome: DispatchOutcome::Variant(idx as u32),
-                            });
-                        }
-                        let mut v = 0u64;
-                        for (slot, seg) in &plan.assemble {
-                            v |= seg.extract(slots[slot.resolve(args)]);
-                        }
-                        return Ok(v);
-                    }
-                }
-            }
+        let var = self.ir.var(vid);
+        validate_args(var, args)?;
+        let cell = var.mem_cell.is_some();
+        // Idempotent variables are served from the cache when every
+        // assembled slot holds a value: the plan's steps are skipped.
+        let cached = self.fast_plans
+            && !var.behavior.volatile
+            && !var.behavior.read_trigger
+            && var
+                .read_plan
+                .as_ref()
+                .is_some_and(|p| p.assemble.iter().all(|(s, _)| self.slot_valid[s.resolve(args)]));
+        match self.dispatch(dev, AccessRef::ReadVar(vid), args, 0, cached, &mut SuperIo::none()) {
+            // Cells serve unvalidated, as in the general interpreter.
+            Some(v) if cell => Ok(v),
+            Some(v) => self.checked_read(vid, v),
+            None => self.read_general(dev, vid, args),
         }
-        self.validate_args(vid, args)?;
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::ReadVar(vid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
+    }
+
+    /// The general interpreter's variable read (arguments validated).
+    fn read_general(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        vid: VarId,
+        args: &[u64],
+    ) -> RtResult<u64> {
+        self.count_general(AccessRef::ReadVar(vid), 0);
         let var = self.ir.var(vid);
         if let Some(cell) = var.mem_cell {
             return Ok(self.mem[cell]);
@@ -694,64 +638,18 @@ impl DeviceInstance {
         args: &[u64],
         value: u64,
     ) -> RtResult<()> {
-        self.write_id_depth(dev, vid, args, value, 0)
+        validate_args(self.ir.var(vid), args)?;
+        self.checked_write(vid, value)?;
+        match self.dispatch(dev, AccessRef::WriteVar(vid), args, value, false, &mut SuperIo::none())
+        {
+            Some(_) => Ok(()),
+            None => self.write_id_depth(dev, vid, args, value, 0),
+        }
     }
 
-    /// Runs a variable write through its precompiled plan, when one
-    /// applies in the current mode. The caller has already validated
-    /// `args`. Returns the fallback cause when the general interpreter
-    /// must handle the write instead — including when the current
-    /// recursion depth plus the plan's own depth bound would exceed the
-    /// limit the general path enforces (the fallback then errors at
-    /// exactly the point the general interpreter would).
-    fn try_write_plan(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        vid: VarId,
-        args: &[u64],
-        value: u64,
-        depth: u32,
-    ) -> Result<(), FallbackCause> {
-        if !self.fast_plans || self.checks {
-            return Err(FallbackCause::PlansOff);
-        }
-        let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-        let var = ir.var(vid);
-        let Some(plan) = &var.write_plan else { return Err(FallbackCause::NoPlan) };
-        if depth.saturating_add(plan.max_depth) > MAX_DEPTH {
-            return Err(FallbackCause::Depth);
-        }
-        // Input-sourced guards see the caller's value (store-then-
-        // evaluate order); cell-guarded selection can miss on
-        // out-of-range cell values, falling back to the general path.
-        let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, value)
-        else {
-            return Err(FallbackCause::SelectMiss);
-        };
-        exec_plan_steps(
-            dev,
-            slots,
-            slot_valid,
-            mem,
-            ir.variant_steps(variant),
-            args,
-            value,
-            &mut SuperIo::none(),
-        );
-        if variant.guards.is_empty() {
-            stats.straight += 1;
-        } else {
-            stats.guarded += 1;
-        }
-        if let Some(t) = trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteVar(vid),
-                outcome: DispatchOutcome::Variant(idx as u32),
-            });
-        }
-        Ok(())
-    }
-
+    /// The general interpreter's variable write, at action-recursion
+    /// `depth` (0 for a top-level write). Nested action writes stay on
+    /// the general interpreter.
     fn write_id_depth(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -760,29 +658,13 @@ impl DeviceInstance {
         value: u64,
         depth: u32,
     ) -> RtResult<()> {
-        self.validate_args(vid, args)?;
-        // Plan-eligible writes (pre-actions writing index variables are
-        // the common case) take the fast path from any depth, as long
-        // as the cumulative depth stays within the general path's
-        // recursion budget.
-        let cause = match self.try_write_plan(dev, vid, args, value, depth) {
-            Ok(()) => return Ok(()),
-            Err(cause) => cause,
-        };
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteVar(vid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
+        validate_args(self.ir.var(vid), args)?;
+        self.count_general(AccessRef::WriteVar(vid), depth);
         let var = self.ir.var(vid);
         if depth > MAX_DEPTH {
             return Err(RtError::RecursionLimit(var.name.clone()));
         }
-        if self.checks && !var.ty.valid_write(value) {
-            return Err(RtError::ValueRange { var: var.name.clone(), value });
-        }
+        self.checked_write(vid, value)?;
         let mem_cell = var.mem_cell;
         let writable = var.writable;
         // Arc handles on the order and action list: a general write
@@ -830,46 +712,13 @@ impl DeviceInstance {
     /// line) executes when one exists; conditional serializations run
     /// the guard-selected variant.
     pub fn read_struct_id(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &ir.strct(sid).read_plan {
-                cause = FallbackCause::SelectMiss;
-                if let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                {
-                    exec_plan_steps(
-                        dev,
-                        slots,
-                        slot_valid,
-                        mem,
-                        ir.variant_steps(variant),
-                        &[],
-                        0,
-                        &mut SuperIo::none(),
-                    );
-                    if variant.guards.is_empty() {
-                        stats.straight += 1;
-                    } else {
-                        stats.guarded += 1;
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.push(DispatchRecord {
-                            access: AccessRef::ReadStruct(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        });
-                    }
-                    return Ok(());
-                }
-            }
+        if self
+            .dispatch(dev, AccessRef::ReadStruct(sid), &[], 0, false, &mut SuperIo::none())
+            .is_some()
+        {
+            return Ok(());
         }
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::ReadStruct(sid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
+        self.count_general(AccessRef::ReadStruct(sid), 0);
         let mut order = self.pop_order_buf();
         let mut res = self.plan_regs_into(&self.ir.strct(sid).read_order, &mut order);
         if res.is_ok() {
@@ -898,16 +747,12 @@ impl DeviceInstance {
         if var.parent.is_none() {
             return Err(RtError::NotAField(var.name.clone()));
         }
-        if self.fast_plans && !self.checks {
-            if let Some(assemble) = &var.slot_assemble {
-                let mut v = 0u64;
-                for &(slot, seg) in assemble {
-                    v |= seg.extract(self.slots[slot]);
-                }
-                return Ok(v);
+        let v = match &var.slot_assemble {
+            Some(assemble) if self.fast_plans => {
+                assemble.iter().fold(0, |v, &(slot, seg)| v | seg.extract(self.slots[slot]))
             }
-        }
-        let v = self.assemble_cached(vid, &[]);
+            _ => self.assemble_cached(vid, &[]),
+        };
         self.checked_read(vid, v)
     }
 
@@ -936,9 +781,7 @@ impl DeviceInstance {
         if var.parent.is_none() {
             return Err(RtError::NotAField(var.name.clone()));
         }
-        if self.checks && !var.ty.valid_write(value) {
-            return Err(RtError::ValueRange { var: var.name.clone(), value });
-        }
+        self.checked_write(vid, value)?;
         self.store_var_bits(vid, &[], value);
         Ok(())
     }
@@ -948,70 +791,33 @@ impl DeviceInstance {
     /// the cached field values, as in the 8259A initialization).
     pub fn write_struct(&mut self, dev: &mut dyn DeviceAccess, name: &str) -> RtResult<()> {
         let sid = self.struct_id(name)?;
-        self.write_struct_depth(dev, sid, 0)
+        self.write_struct_id(dev, sid)
     }
 
-    /// Writes a structure by id.
+    /// Writes a structure by id: the compiled flush (cache-composed
+    /// masked writes plus folded field set-actions) in a straight line,
+    /// with the entry guards picking the conditional-serialization
+    /// variant — the cache state they test is exactly what the general
+    /// path's up-front condition evaluation would see.
     pub fn write_struct_id(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
+        if self
+            .dispatch(dev, AccessRef::WriteStruct(sid), &[], 0, false, &mut SuperIo::none())
+            .is_some()
+        {
+            return Ok(());
+        }
         self.write_struct_depth(dev, sid, 0)
     }
 
+    /// The general interpreter's structure flush, at action-recursion
+    /// `depth`.
     fn write_struct_depth(
         &mut self,
         dev: &mut dyn DeviceAccess,
         sid: StructId,
         depth: u32,
     ) -> RtResult<()> {
-        // Fast path: the compiled flush (cache-composed masked writes
-        // plus folded field set-actions) in a straight line, with the
-        // entry guards picking the conditional-serialization variant —
-        // the cache state they test is exactly what the general path's
-        // up-front condition evaluation would see. Depth budget
-        // permitting (see `try_write_plan`).
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &ir.strct(sid).write_plan {
-                cause = FallbackCause::Depth;
-                if depth.saturating_add(plan.max_depth) <= MAX_DEPTH {
-                    cause = FallbackCause::SelectMiss;
-                    if let Some((idx, variant)) =
-                        plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                    {
-                        exec_plan_steps(
-                            dev,
-                            slots,
-                            slot_valid,
-                            mem,
-                            ir.variant_steps(variant),
-                            &[],
-                            0,
-                            &mut SuperIo::none(),
-                        );
-                        if variant.guards.is_empty() {
-                            stats.straight += 1;
-                        } else {
-                            stats.guarded += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::WriteStruct(sid),
-                                outcome: DispatchOutcome::Variant(idx as u32),
-                            });
-                        }
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteStruct(sid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
+        self.count_general(AccessRef::WriteStruct(sid), depth);
         let st = self.ir.strct(sid);
         if depth > MAX_DEPTH {
             return Err(RtError::RecursionLimit(st.name.clone()));
@@ -1113,12 +919,10 @@ impl DeviceInstance {
     ///
     /// The fused body issues the identical device-op stream the op
     /// sequence would issue unfused, so ledgers, device state and cache
-    /// state are bit-identical either way. When the fused selection
-    /// cannot describe the state — a memory cell holding a value
-    /// outside its variable's raw space — the whole sequence falls back
-    /// to [`DeviceInstance::run_superplan_unfused`]: re-staging through
-    /// the general path stores the same values again (idempotent), so
-    /// the fallback is observably identical to never having fused.
+    /// state are bit-identical either way. With debug checks on (or
+    /// plans off) the sequence runs op by op through
+    /// [`DeviceInstance::run_superplan_unfused`], so every op is
+    /// validated.
     pub fn run_superplan(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -1128,65 +932,21 @@ impl DeviceInstance {
         block_in: &mut [u64],
         outs: &mut [u64],
     ) -> RtResult<()> {
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, superplan_hits, trace, .. } =
-                &mut *self;
-            let Some(sp) = ir.superplans().get(sid) else {
-                return Err(RtError::Unknown(format!("superplan #{sid}")));
-            };
-            cause = FallbackCause::Depth;
-            if sp.plan.max_depth <= MAX_DEPTH {
-                let mut io = SuperIo { block_out, block_in, outs };
-                exec_plan_steps(
-                    dev,
-                    slots,
-                    slot_valid,
-                    mem,
-                    ir.variant_steps(&sp.stage),
-                    args,
-                    0,
-                    &mut io,
-                );
-                cause = FallbackCause::SelectMiss;
-                if let Some((idx, variant)) =
-                    sp.plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                {
-                    exec_plan_steps(
-                        dev,
-                        slots,
-                        slot_valid,
-                        mem,
-                        ir.variant_steps(variant),
-                        args,
-                        0,
-                        &mut io,
-                    );
-                    stats.fused += 1;
-                    superplan_hits[sid] += 1;
-                    if let Some(t) = trace.as_mut() {
-                        t.push(DispatchRecord {
-                            access: AccessRef::Superplan(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        });
-                    }
-                    return Ok(());
-                }
-            }
+        if sid >= self.ir.superplans().len() {
+            return Err(RtError::Unknown(format!("superplan #{sid}")));
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::Superplan(sid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
+        if !self.checks {
+            let mut io = SuperIo { block_out, block_in, outs };
+            if self.dispatch(dev, AccessRef::Superplan(sid), args, 0, false, &mut io).is_some() {
+                return Ok(());
+            }
         }
         self.run_superplan_unfused(dev, sid, args, block_out, block_in, outs)
     }
 
     /// Runs a superplan's declared op sequence unfused, op by op,
     /// through the ordinary dispatch paths — the differential reference
-    /// for fused execution, and the fallback when fused selection
-    /// misses (an out-of-range memory cell) or plans are off.
+    /// for fused execution, and the debug-checked and plans-off run.
     pub fn run_superplan_unfused(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -1254,18 +1014,101 @@ impl DeviceInstance {
 
     // ---- internals ----
 
-    fn validate_args(&self, vid: VarId, args: &[u64]) -> RtResult<()> {
-        let var = self.ir.var(vid);
-        if var.params.len() != args.len() {
-            return Err(RtError::ArityMismatch {
-                var: var.name.clone(),
-                expected: var.params.len(),
-                got: args.len(),
-            });
+    /// The one plan-dispatch body every entrypoint shares: looks up the
+    /// compiled plan of `access`, selects its variant (a superplan
+    /// stages first), runs the variant's arena steps unless `cached` (an
+    /// idempotent read whose slots all hold a value), bumps the dispatch
+    /// counters and records the trace. Returns the plan's read value —
+    /// the cell for a cell serve, else the assembled slots (0 for
+    /// writes) — or `None` when plans are off or the access compiled
+    /// none, and the caller runs the general interpreter.
+    #[inline(always)]
+    fn dispatch(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        access: AccessRef,
+        args: &[u64],
+        input: u64,
+        cached: bool,
+        io: &mut SuperIo<'_>,
+    ) -> Option<u64> {
+        if !self.fast_plans {
+            return None;
         }
-        for (p, &a) in var.params.iter().zip(args) {
-            if !p.contains(a) {
-                return Err(RtError::ArgOutOfRange { var: var.name.clone(), value: a });
+        let DeviceInstance { ir, slots, slot_valid, mem, stats, superplan_hits, trace, .. } =
+            &mut *self;
+        let plan = match access {
+            AccessRef::ReadVar(vid) => ir.var(vid).read_plan.as_deref()?,
+            AccessRef::WriteVar(vid) => ir.var(vid).write_plan.as_deref()?,
+            AccessRef::ReadStruct(sid) => ir.strct(sid).read_plan.as_deref()?,
+            AccessRef::WriteStruct(sid) => ir.strct(sid).write_plan.as_deref()?,
+            AccessRef::Superplan(sid) => {
+                let sp = &ir.superplans()[sid];
+                exec_plan_steps(
+                    dev,
+                    slots,
+                    slot_valid,
+                    mem,
+                    ir.variant_steps(&sp.stage),
+                    args,
+                    0,
+                    io,
+                );
+                &sp.plan
+            }
+        };
+        let (idx, variant) = plan.select_variant(slots, slot_valid, mem, input);
+        if !cached {
+            exec_plan_steps(
+                dev,
+                slots,
+                slot_valid,
+                mem,
+                ir.variant_steps(variant),
+                args,
+                input,
+                io,
+            );
+        }
+        match access {
+            AccessRef::Superplan(sid) => {
+                stats.fused += 1;
+                superplan_hits[sid] += 1;
+            }
+            _ if variant.guards.is_empty() => stats.straight += 1,
+            _ => stats.guarded += 1,
+        }
+        if let Some(t) = trace.as_mut() {
+            let outcome = match plan.cell {
+                Some(_) => DispatchOutcome::Cell,
+                None => DispatchOutcome::Variant(idx as u32),
+            };
+            t.push(DispatchRecord { access, outcome });
+        }
+        Some(match plan.cell {
+            Some(cell) => mem[cell],
+            None => {
+                plan.assemble.iter().fold(0, |v, (s, seg)| v | seg.extract(slots[s.resolve(args)]))
+            }
+        })
+    }
+
+    /// Counts one general-interpreter dispatch at action-recursion
+    /// `depth`; a top-level one (depth 0) is also traced.
+    fn count_general(&mut self, access: AccessRef, depth: u32) {
+        self.stats.general += 1;
+        if let (Some(t), 0) = (self.trace.as_mut(), depth) {
+            t.push(DispatchRecord { access, outcome: DispatchOutcome::General });
+        }
+    }
+
+    /// Validates a written value against the variable's type when debug
+    /// checks are on.
+    fn checked_write(&self, vid: VarId, value: u64) -> RtResult<()> {
+        if self.checks {
+            let var = self.ir.var(vid);
+            if !var.ty.valid_write(value) {
+                return Err(RtError::ValueRange { var: var.name.clone(), value });
             }
         }
         Ok(())
@@ -1654,6 +1497,23 @@ fn exec_plan_steps(
             }
         }
     }
+}
+
+/// Checks a variable's family arguments against its parameter domains.
+fn validate_args(var: &VarIr, args: &[u64]) -> RtResult<()> {
+    if var.params.len() != args.len() {
+        return Err(RtError::ArityMismatch {
+            var: var.name.clone(),
+            expected: var.params.len(),
+            got: args.len(),
+        });
+    }
+    for (p, &a) in var.params.iter().zip(args) {
+        if !p.contains(a) {
+            return Err(RtError::ArgOutOfRange { var: var.name.clone(), value: a });
+        }
+    }
+    Ok(())
 }
 
 /// Sign-extends the low `width` bits of `raw` to an `i64`.
@@ -2218,9 +2078,9 @@ mod tests {
     fn deep_action_chains_hit_the_recursion_limit_in_both_modes() {
         // A set-action chain long enough that the general interpreter
         // reports RecursionLimit. Mid-chain variables compile plans
-        // (their remaining expansion fits the budget), but the
-        // cumulative-depth gate must keep the fast path from
-        // succeeding where the general path errors.
+        // (their remaining expansion fits the budget), but nested
+        // writes stay on the general interpreter, so the fast path
+        // cannot succeed where the general path errors.
         let n = 30u32;
         let mut decls = String::new();
         for i in 0..n {
@@ -2249,6 +2109,132 @@ mod tests {
         assert_eq!(fast_tail, slow_tail);
         assert!(fast_tail.is_ok());
         assert_eq!(fast_dev.log, slow_dev.log);
+    }
+
+    #[test]
+    fn action_chains_past_the_depth_limit_compile_no_plan() {
+        // Each hop of the set-action chain costs the general interpreter
+        // three recursion levels (register write, action list, nested
+        // variable write), so a chain of `MAX_DEPTH` variables runs past
+        // the limit: the head compiles no plan, its bail is recorded,
+        // and both engines fail with the same `RecursionLimit`.
+        let n = MAX_DEPTH;
+        let mut decls = String::new();
+        for i in 0..n {
+            let set = if i + 1 < n { format!(", set {{v{} = 1}}", i + 1) } else { String::new() };
+            decls.push_str(&format!(
+                "register r{i} = base @ {i}{set} : bit[8];\nvariable v{i} = r{i} : int(8);\n"
+            ));
+        }
+        let src = format!("device d (base : bit[8] port @ {{0..{}}}) {{\n{decls}}}", n - 1);
+        let mut fast = instance(&src);
+        let v0 = fast.var_id("v0").unwrap();
+        assert!(fast.ir().var(v0).write_plan.is_none(), "the chain head must not plan-compile");
+        assert!(
+            fast.ir()
+                .plan_fallbacks()
+                .iter()
+                .any(|f| f.access == "write v0" && f.cause.contains("depth")),
+            "{:?}",
+            fast.ir().plan_fallbacks()
+        );
+        let mut fast_dev = FakeAccess::new();
+        let fast_res = fast.write(&mut fast_dev, "v0", 1);
+        let mut slow = instance(&src);
+        slow.set_fast_plans(false);
+        let mut slow_dev = FakeAccess::new();
+        let slow_res = slow.write(&mut slow_dev, "v0", 1);
+        assert!(matches!(slow_res, Err(RtError::RecursionLimit(_))), "{slow_res:?}");
+        assert_eq!(fast_res, slow_res);
+        assert_eq!(fast_dev.log, slow_dev.log);
+        assert_eq!(fast.plan_stats(), slow.plan_stats(), "nested writes stay general");
+    }
+
+    /// Drives the same access sequence through plans and the general
+    /// interpreter with debug checks on: both must reject the same
+    /// accesses with the same errors, and the planned side must never
+    /// leave its plans.
+    #[test]
+    fn debug_checks_validate_around_plans() {
+        let src = r#"device d (base : bit[8] port @ {0..1}) {
+                 register r = base @ 0, mask '...*****' : bit[8];
+                 variable v = r[4..0], volatile : int{0..17,25};
+                 register s = base @ 1 : bit[8];
+                 structure st = {
+                   variable mode = s[1..0] : int{0..2};
+                   variable rest = s[7..2] : int(6);
+                 };
+               }"#;
+        let drive = |d: &mut DeviceInstance, dev: &mut FakeAccess| {
+            let mut res = Vec::new();
+            res.push(d.write(dev, "v", 20).map(|()| 0));
+            res.push(d.write(dev, "v", 25).map(|()| 0));
+            dev.preset(0, 0, 19);
+            res.push(d.read(dev, "v"));
+            dev.preset(0, 0, 17);
+            res.push(d.read(dev, "v"));
+            res.push(d.set_field("mode", 3).map(|()| 0));
+            res.push(d.set_field("mode", 1).map(|()| 0));
+            res.push(d.write_struct(dev, "st").map(|()| 0));
+            dev.preset(0, 1, 0b10);
+            res.push(d.read_struct(dev, "st").map(|()| 0));
+            res.push(d.get_field("mode"));
+            dev.preset(0, 1, 0b11);
+            res.push(d.read_struct(dev, "st").map(|()| 0));
+            res.push(d.get_field("mode"));
+            res
+        };
+        let mut fast = instance(src);
+        fast.set_debug_checks(true);
+        let mut fast_dev = FakeAccess::new();
+        let fast_res = drive(&mut fast, &mut fast_dev);
+        let mut slow = instance(src);
+        slow.set_debug_checks(true);
+        slow.set_fast_plans(false);
+        let mut slow_dev = FakeAccess::new();
+        let slow_res = drive(&mut slow, &mut slow_dev);
+        assert_eq!(fast_res, slow_res);
+        assert_eq!(fast_dev.log, slow_dev.log);
+        assert_eq!(fast_res[0], Err(RtError::ValueRange { var: "v".into(), value: 20 }));
+        assert_eq!(fast_res[2], Err(RtError::BadPattern { var: "v".into(), raw: 19 }));
+        assert_eq!(fast_res[4], Err(RtError::ValueRange { var: "mode".into(), value: 3 }));
+        assert_eq!(fast_res[8], Ok(2));
+        assert_eq!(fast_res[10], Err(RtError::BadPattern { var: "mode".into(), raw: 3 }));
+        let stats = fast.plan_stats();
+        assert_eq!(stats.general, 0, "debug mode stays on plans: {stats:?}");
+        assert!(stats.straight > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn nested_action_values_debug_checks_reject_keep_the_general_path() {
+        // `*` writes 0, outside `idx`'s type: debug checks reject the
+        // nested write in the general interpreter, so the lowerer keeps
+        // the access there rather than let a plan skip the check.
+        let src = r#"device d (base : bit[8] port @ {0..1}) {
+                 register x = write base @ 1 : bit[8];
+                 variable idx = x : int{1..3};
+                 register r = base @ 0, pre {idx = *} : bit[8];
+                 variable v = r : int(8);
+               }"#;
+        let mut fast = instance(src);
+        let vid = fast.var_id("v").unwrap();
+        assert!(fast.ir().var(vid).write_plan.is_none());
+        assert!(fast.ir().plan_fallbacks().iter().any(|f| f.access == "write v"));
+        let mut slow = instance(src);
+        slow.set_fast_plans(false);
+        for checks in [false, true] {
+            fast.set_debug_checks(checks);
+            slow.set_debug_checks(checks);
+            let (mut fast_dev, mut slow_dev) = (FakeAccess::new(), FakeAccess::new());
+            let fast_res = fast.write(&mut fast_dev, "v", 5);
+            assert_eq!(fast_res, slow.write(&mut slow_dev, "v", 5));
+            assert_eq!(fast_dev.log, slow_dev.log);
+            if checks {
+                assert_eq!(fast_res, Err(RtError::ValueRange { var: "idx".into(), value: 0 }));
+            } else {
+                assert_eq!(fast_res, Ok(()));
+            }
+        }
     }
 
     #[test]
@@ -2374,8 +2360,8 @@ mod tests {
         let fast = d.plan_stats().delta(before);
         assert_eq!(fast.general, 0, "in-range index should dispatch on the plan");
         assert!(fast.total() >= 1);
-        // An out-of-range cell value can only come from the general
-        // path itself; emulate the miss by disabling plans.
+        // The reference model counts its own dispatches, nested
+        // action writes included.
         d.set_fast_plans(false);
         let before = d.plan_stats();
         d.write(&mut dev, "v", 0x22).unwrap();
@@ -2416,7 +2402,7 @@ mod tests {
                 },
                 DispatchRecord {
                     access: AccessRef::ReadVar(vid),
-                    outcome: DispatchOutcome::Fallback(FallbackCause::PlansOff)
+                    outcome: DispatchOutcome::General
                 },
             ]
         );

@@ -38,6 +38,6 @@ pub mod interp;
 pub use access::{DeviceAccess, FakeAccess, MappedPort, PortMap, Space};
 pub use error::{RtError, RtResult};
 pub use interp::{
-    sign_extend, AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FallbackCause,
-    InstanceSnapshot, PlanStats,
+    sign_extend, AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, InstanceSnapshot,
+    PlanStats,
 };

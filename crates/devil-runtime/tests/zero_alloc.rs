@@ -4,8 +4,8 @@
 //! access is straight-line arithmetic. The interpreter's plan fast path
 //! claims the same: after warm-up, reads, writes, struct samples,
 //! guarded flushes, family accesses — and even the hashed family-cache
-//! fallback — must not touch the allocator. A counting global allocator
-//! enforces it.
+//! fallback — must not touch the allocator, with debug checks off or
+//! on. A counting global allocator enforces it.
 //!
 //! This file deliberately holds a single `#[test]` so no concurrent
 //! test thread can perturb the global counter.
@@ -175,6 +175,22 @@ fn warm_access_paths_do_not_allocate() {
 
     // The whole exercise ran on plans except the oversized family,
     // which has no flat slots by construction.
+    assert_eq!(flat.plan_stats().general, 0);
+    assert_eq!(pic.plan_stats().general, 0);
+    assert_eq!(fam.plan_stats().general, 0);
+
+    // Debug checks validate around the same plans: still no
+    // allocation, and still no general-interpreter dispatch.
+    for inst in [&mut flat, &mut pic, &mut fam, &mut big] {
+        inst.set_debug_checks(true);
+    }
+    exercise(&mut flat, &mut pic, &mut fam, &mut big, &mut dev);
+    let n = allocations(|| {
+        for _ in 0..64 {
+            exercise(&mut flat, &mut pic, &mut fam, &mut big, &mut dev);
+        }
+    });
+    assert_eq!(n, 0, "warm checked access paths allocated {n} times");
     assert_eq!(flat.plan_stats().general, 0);
     assert_eq!(pic.plan_stats().general, 0);
     assert_eq!(fam.plan_stats().general, 0);

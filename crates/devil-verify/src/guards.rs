@@ -1,9 +1,8 @@
 //! Guard soundness: the variant table is the selector's mixed-radix
 //! enumeration, stored guards match the selector bit for bit, variant
-//! domains are pairwise disjoint, and selection is exhaustive over the
-//! reachable guard space (modulo the documented cell-range fallback).
+//! domains are pairwise disjoint, and selection is total.
 //!
-//! The proof strategy leans on [`select_variant_indexed`]'s structure:
+//! The proof strategy leans on [`select_variant`]'s structure:
 //! selection never scans guards, it assembles each tested value and
 //! indexes the table. So soundness decomposes per dimension:
 //!
@@ -17,25 +16,28 @@
 //!   every pair of values it enumerates, i.e. every enumerated value
 //!   bit is observable through some guard (a cache segment bit outside
 //!   the input shadow, an input segment bit, or a whole-cell compare);
-//! * selection is exhaustive iff no dimension can assemble a value
-//!   outside its radix from a non-cell source: segment extracts land
-//!   strictly below the radix, so only a raw (unmasked) memory cell can
-//!   overflow — and that miss is the documented general-interpreter
-//!   fallback, not a hole.
+//! * selection is total iff no dimension can assemble a value outside
+//!   its radix: a slot/input dimension's segment extracts must land
+//!   strictly below its radix, and a cell dimension (cells store
+//!   unmasked, so any value can appear) must enumerate its variable's
+//!   `2^width` values plus the catch-all index `2^width` that every
+//!   larger value clamps to.
 //!
-//! [`select_variant_indexed`]: devil_ir::AccessPlan::select_variant_indexed
+//! [`select_variant`]: devil_ir::AccessPlan::select_variant
 
 use crate::{plan_refs, DiagClass, Diagnostic};
 use devil_ir::{DeviceIr, GuardSource, PlanGuard, SelectorDim};
 
 /// Reconstructs the guards pinning `dim` to the enumerated value `v`,
-/// mirroring the compiler's `dim_guards`: a whole-cell compare for
-/// cell-tested dims, else one masked slot compare per cache segment
+/// mirroring the compiler's `dim_guards`: a clamped cell compare (the
+/// ceiling is the catch-all index) for cell-tested dims, else one masked
+/// slot compare per cache segment
 /// (input-shadowed bits excluded) followed by one input compare per
 /// input segment.
 pub fn dim_guards(dim: &SelectorDim, v: u64, out: &mut Vec<PlanGuard>) {
     if let Some(cell) = dim.cell {
-        out.push(PlanGuard { source: GuardSource::Cell(cell), mask: u64::MAX, expected: v });
+        let mask = max_value(dim);
+        out.push(PlanGuard { source: GuardSource::Cell(cell), mask, expected: v });
         return;
     }
     for &(slot, seg) in &dim.segs {
@@ -74,8 +76,10 @@ pub fn decompose(dims: &[SelectorDim], idx: usize) -> Vec<u64> {
     values
 }
 
-/// The tested-value bits `dim` enumerates: `radix - 1`.
-fn radix_mask(dim: &SelectorDim) -> u64 {
+/// The largest value `dim` enumerates, `radix - 1`: the tested-value
+/// bit mask of a slot/input dimension, the catch-all index of a cell
+/// dimension.
+pub fn max_value(dim: &SelectorDim) -> u64 {
     (dim.radix as u64).saturating_sub(1)
 }
 
@@ -137,11 +141,27 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
             continue;
         }
 
-        // Per-dimension structure: power-of-two radix, input sourcing
-        // only where the access has an input, and no assembleable value
-        // outside the radix from a non-cell source (exhaustiveness).
+        // Per-dimension structure: a power-of-two radix (a cell's
+        // `2^width` plus its catch-all), input sourcing only where the
+        // access has an input, and no assembleable value outside the
+        // radix (totality).
         for (d, dim) in plan.selector.iter().enumerate() {
-            if !dim.radix.is_power_of_two() {
+            if let Some(cell) = dim.cell {
+                let width = ir.mem_owner(cell).map(|v| ir.var(v).width);
+                let want = width.filter(|&w| w < 63).map(|w| (1usize << w) + 1);
+                if want != Some(dim.radix) {
+                    diag(
+                        DiagClass::NonExhaustive,
+                        format!(
+                            "cell dim {d} has radix {} where its variable's values plus the \
+                             catch-all need {want:?} — out-of-range cell values would select \
+                             an in-range variant",
+                            dim.radix
+                        ),
+                    );
+                    ok = false;
+                }
+            } else if !dim.radix.is_power_of_two() {
                 diag(
                     DiagClass::NonExhaustive,
                     format!("selector dim {d} has non-power-of-two radix {}", dim.radix),
@@ -156,13 +176,13 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                 ok = false;
             }
             if dim.cell.is_none() {
-                let reach = observable_mask(dim) & !radix_mask(dim);
+                let reach = observable_mask(dim) & !max_value(dim);
                 if reach != 0 {
                     diag(
                         DiagClass::NonExhaustive,
                         format!(
                             "selector dim {d} can assemble value bits {reach:#x} beyond \
-                             radix {} — selection could miss with no cell fallback",
+                             radix {} — selection could miss",
                             dim.radix
                         ),
                     );
@@ -172,7 +192,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
             // Disjointness: an enumerated value bit no guard observes
             // means two variants differing only in that bit share their
             // whole guard domain.
-            let blind = radix_mask(dim) & !observable_mask(dim);
+            let blind = max_value(dim) & !observable_mask(dim);
             if blind != 0 {
                 diag(
                     DiagClass::GuardOverlap,

@@ -10,9 +10,9 @@
 //! * **guard soundness** ([`guards`]): every access's variant table is
 //!   exactly the mixed-radix enumeration its selector describes, the
 //!   stored [`devil_ir::PlanGuard`] lists match the selector bit for
-//!   bit, variant domains are pairwise disjoint, and — together with
-//!   the documented out-of-range-cell fallback — exhaustive over the
-//!   reachable guard space;
+//!   bit, variant domains are pairwise disjoint, and selection is total:
+//!   every cache, memory and input state selects exactly one variant
+//!   (out-of-range cell values through their dimension's catch-all);
 //! * **dead variants** ([`reach`]): a whole-spec value-set analysis of
 //!   everything that can feed a tested slot or cell (device reads, API
 //!   writes, folded actions, arena stores) flags variants whose guard
@@ -54,9 +54,9 @@ pub enum DiagClass {
     /// discriminate all value pairs it enumerates, so distinct variants
     /// share satisfying states.
     GuardOverlap,
-    /// A selector dimension can assemble a value outside its enumerated
-    /// radix from a non-cell source, so selection could miss where no
-    /// documented fallback exists.
+    /// Selection is not total: a selector dimension can assemble a
+    /// value outside its enumerated radix, or a cell dimension lacks
+    /// the catch-all index its out-of-range values clamp to.
     NonExhaustive,
     /// A variant whose guard domain no reachable state selects, given
     /// value-set analysis of every write that can feed the tested

@@ -31,7 +31,9 @@ fn fmt_guard(ir: &DeviceIr, g: &PlanGuard) -> String {
         GuardSource::Slot(s) => {
             format!("slot({})&{:#x}=={:#x}", ir.slot_name(s), g.mask, g.expected)
         }
-        GuardSource::Cell(c) => format!("cell({})=={:#x}", ir.cell_name(c), g.expected),
+        GuardSource::Cell(c) => {
+            format!("min(cell({}),{:#x})=={:#x}", ir.cell_name(c), g.mask, g.expected)
+        }
         GuardSource::Input => format!("input&{:#x}=={:#x}", g.mask, g.expected),
     }
 }

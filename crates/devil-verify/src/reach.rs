@@ -40,6 +40,14 @@ impl CellVals {
             CellVals::Vals(s) => v == 0 || s.contains(&v),
         }
     }
+
+    /// Whether some value at or above `v` is present.
+    fn reaches(&self, v: u64) -> bool {
+        match self {
+            CellVals::Top => true,
+            CellVals::Vals(s) => v == 0 || s.range(v..).next().is_some(),
+        }
+    }
 }
 
 /// The whole-spec feed analysis: per-slot may-be-1 register bits and
@@ -219,10 +227,12 @@ pub fn feeds(ir: &DeviceIr) -> Feeds {
 /// Whether `v` is a reachable value of `dim` under `feeds`. Input-fed
 /// bits are always reachable (the caller controls the input); a
 /// cache-fed 1-bit needs its register bit to be feedable; a cell value
-/// needs membership in the cell's value set.
+/// needs membership in the cell's value set — for the catch-all, any
+/// member at or past it.
 fn value_reachable(feeds: &Feeds, dim: &SelectorDim, v: u64) -> bool {
     if let Some(cell) = dim.cell {
-        return cell >= feeds.cells.len() || feeds.cells[cell].contains(v);
+        let Some(vals) = feeds.cells.get(cell) else { return true };
+        return if v == crate::guards::max_value(dim) { vals.reaches(v) } else { vals.contains(v) };
     }
     let mut needed = v & !dim.input_mask;
     for &(slot, seg) in &dim.segs {

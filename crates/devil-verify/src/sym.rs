@@ -19,7 +19,10 @@
 //! those atom bits (an [`Env`]) and leaves every other bit free. A
 //! contradiction while pinning means no state selects the variant — the
 //! combination is unreachable and the obligation vacuous (dead variants
-//! are [`crate::reach`]'s business, not this pass's).
+//! are [`crate::reach`]'s business, not this pass's). A cell
+//! dimension's catch-all pins the cell to its representative value
+//! `2^width`: plan steps only ever store to cells, never read them, so
+//! every value the catch-all covers selects and runs identically.
 //!
 //! The zero-invariant (`slot_valid[s] == false ⇒ slots[s] == 0`, which
 //! `devil-runtime` asserts dynamically) lets the whole analysis track
@@ -316,8 +319,9 @@ fn dim_value(st: &State, dim: &SelectorDim, input: Option<&Word>) -> Result<Word
     Ok(v)
 }
 
-/// Evaluates a full selector to its mixed-radix index. `Ok(None)` is a
-/// selection miss (a concrete value at or beyond its radix).
+/// Evaluates a full selector to its mixed-radix index, clamping a cell
+/// value to its catch-all as the runtime does. `Ok(None)` is a selection
+/// miss (a slot or input value at or beyond its radix).
 fn select(st: &State, dims: &[SelectorDim], input: Option<&Word>) -> Result<Option<usize>, String> {
     let mut idx = 0usize;
     for (d, dim) in dims.iter().enumerate() {
@@ -325,6 +329,7 @@ fn select(st: &State, dims: &[SelectorDim], input: Option<&Word>) -> Result<Opti
         let Some(v) = concrete(&v) else {
             return Err(format!("selector dim {d} not concrete under the pinned state"));
         };
+        let v = if dim.cell.is_some() { v.min(crate::guards::max_value(dim)) } else { v };
         if v >= dim.radix as u64 {
             return Ok(None);
         }

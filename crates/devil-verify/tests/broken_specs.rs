@@ -75,6 +75,20 @@ fn undersized_radix_fires_non_exhaustive() {
     });
 }
 
+/// A cell dimension without its catch-all index: out-of-range cell
+/// values (cells store unmasked) would clamp onto the last in-range
+/// variant, so selection is no longer total.
+#[test]
+fn cell_dim_without_catch_all_fires_non_exhaustive() {
+    assert_fires("memw", DiagClass::NonExhaustive, |ir| {
+        let wi = ir.vars.iter().position(|v| v.name == "w").unwrap();
+        let plan = Arc::make_mut(ir.vars[wi].write_plan.as_mut().unwrap());
+        assert!(plan.selector[0].cell.is_some());
+        plan.selector[0].radix -= 1;
+        plan.variants.pop();
+    });
+}
+
 /// A tested memory cell with every feed removed: `memw`'s `m` is only
 /// ever fed through the functional write interface (the writable flag,
 /// its compiled cell-store plan, and that plan's arena step), so

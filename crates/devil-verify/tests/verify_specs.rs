@@ -75,5 +75,5 @@ fn surface_points_equal_fuzz_coverage_space() {
         );
         points += pts;
     }
-    assert_eq!(points, 166, "whole-library surface-point total drifted");
+    assert_eq!(points, 168, "whole-library surface-point total drifted");
 }

@@ -177,6 +177,8 @@ mod tests {
         assert_eq!(drv.signature(&mut bus), Busmouse::SIGNATURE);
         let s = drv.read_state(&mut bus);
         assert_eq!(s, MouseState { dx: 5, dy: -3, buttons: 0b101 });
+        let stats = drv.plan_stats();
+        assert_eq!(stats.general, 0, "debug checks validate around plans: {stats:?}");
     }
 
     #[test]

@@ -489,6 +489,8 @@ mod tests {
                     let d_d = devil.read_pio(&mut bus_d, 0, 32, cfg);
                     assert_eq!(d_h, d_d, "mode {cfg:?}");
                     assert_eq!(d_h, expected(64, 0, 32));
+                    let stats = devil.ide_plan_stats() + devil.bm_plan_stats();
+                    assert_eq!(stats.general, 0, "debug mode stays on plans: {stats:?}");
                 }
             }
         }
@@ -524,6 +526,8 @@ mod tests {
         devil.set_debug_checks(true);
         let d_d = devil.read_dma(&mut bus_d, &mem_d, 5, 8, 0x8000);
         assert_eq!(d_d, d_h);
+        let stats = devil.ide_plan_stats() + devil.bm_plan_stats();
+        assert_eq!(stats.general, 0, "debug mode stays on plans: {stats:?}");
         // Devil issues a handful more I/O ops but DMA time dominates.
         assert!(bus_d.ledger().io_ops() > bus_h.ledger().io_ops());
         assert_eq!(bus_d.ledger().dma_words, bus_h.ledger().dma_words);
