@@ -376,9 +376,9 @@ fn bench_mmr(c: &mut Criterion) {
     let mut g = c.benchmark_group("mmr");
 
     // Hot-path bus append: one outb through an untraced vs traced bus.
-    // The traced append is a bump-copy into the pending arena; all
-    // hashing defers to watermark folds, so the two must sit within
-    // tens of nanoseconds of each other.
+    // The traced bus hashes each 26-byte entry into its open trace leaf
+    // as it goes (no leaf is sealed here, so no tree work): the gap is
+    // the streaming hash, about 0.4 compressions per entry.
     g.bench_function("outb_untraced", |b| {
         let mut bus = Bus::default();
         b.iter(|| bus.io_write(black_box(0x300), black_box(0x5a), Width::W8));
@@ -389,8 +389,9 @@ fn bench_mmr(c: &mut Criterion) {
         b.iter(|| bus.io_write(black_box(0x300), black_box(0x5a), Width::W8));
     });
 
-    // One deferred append including its amortized share of the
-    // watermark fold, isolated from bus dispatch.
+    // One append to the per-op log of the differential replays (one
+    // leaf per entry) including its amortized share of the watermark
+    // fold. The bus trace does not use this log.
     g.bench_function("log_append_26b", |b| {
         let mut log = MmrLog::new(false);
         let entry = [0xa5u8; 26];

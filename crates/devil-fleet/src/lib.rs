@@ -124,9 +124,12 @@ pub struct FleetReport {
     /// order.
     pub ledger: Ledger,
     /// Authenticated trace forest: one MMR per instance, fed from the
-    /// per-instance bus traces at every checkpoint drain. An instance
-    /// lives on exactly one shard, so the fleet merge is a disjoint
-    /// union — commutative and cadence-independent.
+    /// per-instance bus traces at checkpoint drains. Leaf 0 of an
+    /// instance's tree is its bring-up I/O and leaf `k` its unit `k`,
+    /// so a tree has `units + 1` leaves. Leaves are sealed per unit and
+    /// drains fall between units, so the cadence never moves a leaf
+    /// boundary; an instance lives on exactly one shard, so the fleet
+    /// merge is a disjoint union — commutative and cadence-independent.
     pub forest: MmrForest,
     /// The forest root: one 32-byte digest authenticating every bus
     /// operation of every instance in the fleet.
@@ -170,7 +173,7 @@ impl FleetReport {
                 assert!(
                     la == lb && ra == rb,
                     "instance {ida} bus trace diverges between {} and {} shards: \
-                     {la} ops root {ra} vs {lb} ops root {rb}",
+                     {la} leaves root {ra} vs {lb} leaves root {rb}",
                     self.shards,
                     other.shards
                 );
@@ -195,6 +198,13 @@ impl FleetReport {
             );
         }
     }
+}
+
+/// Merges one instance's ledger delta and trace segment since its last
+/// drain.
+fn drain(inst: &mut FleetInstance, ledger: &mut Ledger, forest: &mut MmrForest) {
+    ledger.merge(&inst.drain_checkpoint());
+    forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
 }
 
 /// Runs one shard: build its instances locally, then drain the
@@ -225,10 +235,18 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
     let mut clock_ns = 0u64;
     let mut units = 0u64;
     let mut checkpoints = 0u64;
+    // Instances that ran a unit since the last checkpoint: only they
+    // have a ledger delta or trace leaves to drain.
+    let mut dirty: Vec<usize> = Vec::new();
+    let mut is_dirty = vec![false; insts.len()];
 
     while let Some(Reverse((arrival, idx))) = heap.pop() {
         let inst = &mut insts[idx];
         let service = inst.run_unit();
+        if !is_dirty[idx] {
+            is_dirty[idx] = true;
+            dirty.push(idx);
+        }
         let start = clock_ns.max(arrival);
         clock_ns = start + service;
         latencies_ns.push(clock_ns - arrival);
@@ -238,17 +256,16 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
             heap.push(Reverse((arrival + gap, idx)));
         }
         if cfg.checkpoint_every_units > 0 && units.is_multiple_of(cfg.checkpoint_every_units) {
-            for inst in &mut insts {
-                ledger.merge(&inst.drain_checkpoint());
-                forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
+            for idx in dirty.drain(..) {
+                is_dirty[idx] = false;
+                drain(&mut insts[idx], &mut ledger, &mut forest);
             }
             checkpoints += 1;
         }
     }
-    // Final checkpoint: whatever accumulated since the last merge.
+    // Final checkpoint: every instance, so each gets a tree.
     for inst in &mut insts {
-        ledger.merge(&inst.drain_checkpoint());
-        forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
+        drain(inst, &mut ledger, &mut forest);
     }
     checkpoints += 1;
 

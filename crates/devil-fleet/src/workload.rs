@@ -244,7 +244,7 @@ pub struct FleetInstance {
     units: u64,
 }
 
-fn ide_rig(id: u32, irs: &SharedIrs, mem_bytes: usize) -> (Bus, SharedMem, DevilIde) {
+fn ide_rig(id: u32, irs: &SharedIrs, bus: &mut Bus, mem_bytes: usize) -> (SharedMem, DevilIde) {
     let irq = IrqLine::new();
     let mem = SharedMem::new(mem_bytes);
     let mut ctl = IdeController::new(IDE_SECTORS, irq, mem.clone());
@@ -253,21 +253,20 @@ fn ide_rig(id: u32, irs: &SharedIrs, mem_bytes: usize) -> (Bus, SharedMem, Devil
             ctl.disk_mut()[s * SECTOR_SIZE + w] = ((s * 7 + w + id as usize) & 0xff) as u8;
         }
     }
-    let mut bus = Bus::default();
-    bus.enable_trace(true);
     bus.attach_io(Box::new(ctl), IDE_BASE, 16);
     let drv = DevilIde::with_instances(
         IDE_BASE,
         DeviceInstance::with_shared_ir(irs.ide.clone()),
         DeviceInstance::with_shared_ir(irs.piix4.clone()),
     );
-    (bus, mem, drv)
+    (mem, drv)
 }
 
 impl FleetInstance {
     /// Spawns instance `id` of the given kind. All construction
     /// randomness (initial mouse sample, MAC, pixel depth, …) comes
-    /// from the instance's own stream.
+    /// from the instance's own stream. The bring-up I/O (NE2000
+    /// `start`, Permedia2 `set_depth`) is trace leaf 0.
     pub fn spawn(id: u32, kind: WorkloadKind, irs: &SharedIrs, mut rng: Rng) -> Self {
         let mut bus = Bus::default();
         // Retained mode: drained segments replay into shard forests and
@@ -289,8 +288,7 @@ impl FleetInstance {
                 Rig::IcwStorm { drv: DevilPic8259::with_instance(PIC_BASE, inst) }
             }
             WorkloadKind::PioRead => {
-                let (b, _mem, drv) = ide_rig(id, irs, 4096);
-                bus = b;
+                let (_mem, drv) = ide_rig(id, irs, &mut bus, 4096);
                 Rig::PioRead { drv }
             }
             WorkloadKind::NetBurst => {
@@ -337,11 +335,11 @@ impl FleetInstance {
                 Rig::CodecIndex { dev, ids }
             }
             WorkloadKind::BusMasterDma => {
-                let (b, mem, drv) = ide_rig(id, irs, 16 << 10);
-                bus = b;
+                let (mem, drv) = ide_rig(id, irs, &mut bus, 16 << 10);
                 Rig::BusMasterDma { drv, mem }
             }
         };
+        bus.seal_trace_leaf();
         FleetInstance { id, kind, rng, bus, cp: Checkpoint::new(), rig, units: 0 }
     }
 
@@ -377,8 +375,16 @@ impl FleetInstance {
 
     /// Drains the authenticated trace accumulated since the last
     /// checkpoint as a retained MMR segment, ready for
-    /// [`hwsim::MmrForest::append_segment`].
+    /// [`hwsim::MmrForest::append_segment`]. Every leaf is already
+    /// sealed (spawn and [`FleetInstance::run_unit`] end theirs), so a
+    /// drain never cuts one and the cadence cannot move a root.
     pub fn drain_trace_segment(&mut self) -> hwsim::Mmr {
+        debug_assert_eq!(
+            self.bus.trace().map(hwsim::TraceLog::open_entries),
+            Some(0),
+            "instance {} drained mid-unit",
+            self.id
+        );
         self.bus.drain_trace_segment().expect("fleet buses always trace")
     }
 
@@ -386,7 +392,8 @@ impl FleetInstance {
     /// instance's stream. Kinds with a shipped superplan (ICW storms,
     /// PIO reads, NIC transmits, fill rectangles) flip per unit between
     /// the fused one-guard dispatch and the unfused plan-by-plan path,
-    /// so the determinism gate covers both pipelines interleaved.
+    /// so the determinism gate covers both pipelines interleaved. The
+    /// unit's bus entries become one trace leaf, sealed here.
     /// Returns the simulated nanoseconds the unit's bus activity took.
     pub fn run_unit(&mut self) -> u64 {
         let t0 = self.bus.now_ns();
@@ -503,6 +510,7 @@ impl FleetInstance {
                 let _ = drv.read_dma(bus, mem, lba, count, DMA_PRD);
             }
         }
+        self.bus.seal_trace_leaf();
         self.units += 1;
         let service = (self.bus.now_ns() - t0).round() as u64;
         service.max(1)

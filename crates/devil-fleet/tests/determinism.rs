@@ -81,16 +81,18 @@ fn sharding_scales_simulated_throughput() {
 }
 
 /// The authenticated half of the gate: every instance grows a trace
-/// tree, the forest root is one 32-byte digest over the whole fleet's
-/// bus history, and it is identical for any shard count — the
-/// checkpoint drains that feed it are a pure reorganization too.
+/// tree with one leaf for bring-up and one per unit, the forest root is
+/// one 32-byte digest over the whole fleet's bus history, and it is
+/// identical for any shard count — the checkpoint drains that feed it
+/// are a pure reorganization too.
 #[test]
 fn trace_forest_covers_every_instance_shard_independently() {
     let irs = SharedIrs::compile();
     let single = run_fleet_with(&cfg(Mix::all_specs(), 1, 32), &irs);
     assert_eq!(single.forest.len(), 32, "one trace tree per instance");
-    for (id, ops, _) in single.forest.roots() {
-        assert!(ops > 0, "instance {id} traced no bus operations");
+    for ((id, leaves, _), fin) in single.forest.roots().zip(&single.finals) {
+        assert_eq!(id, u64::from(fin.id));
+        assert_eq!(leaves, fin.units + 1, "instance {id}: bring-up leaf plus one per unit");
     }
     let sharded = run_fleet_with(&cfg(Mix::all_specs(), 4, 32), &irs);
     assert_eq!(single.trace_root, sharded.trace_root, "forest roots must be shard-independent");

@@ -9,7 +9,7 @@
 use crate::clock::{CostModel, SimClock};
 use crate::device::Device;
 use crate::ledger::Ledger;
-use crate::mmr::{self, Hash, Mmr, MmrLog};
+use crate::mmr::{self, Hash, Mmr, TraceLog};
 use crate::width::Width;
 
 /// An address-range claim registered by a device.
@@ -37,10 +37,10 @@ pub struct Bus {
     /// Panic on accesses to unclaimed addresses instead of returning
     /// floating-bus values. Useful in tests.
     strict: bool,
-    /// Authenticated trace: one [`MmrLog`] entry per bus transaction
+    /// Authenticated trace: one [`TraceLog`] entry per bus transaction
     /// when enabled. `None` (the default) keeps the hot path at a
     /// single branch per op.
-    trace: Option<Box<MmrLog>>,
+    trace: Option<Box<TraceLog>>,
 }
 
 /// Trace entry kinds; an unclaimed access sets [`TRACE_UNCLAIMED`] on
@@ -170,16 +170,22 @@ impl Bus {
     // ---- authenticated trace ----
 
     /// Turns on the authenticated trace: from now on every bus
-    /// transaction bump-appends one fixed-size entry into an
-    /// [`MmrLog`]; hashing is deferred to fold points (watermark,
-    /// [`Bus::trace_root`], [`Bus::drain_trace_segment`]), never
-    /// per-op. `retain` keeps leaf/node hashes for bisection and
-    /// segment replay; `false` streams in O(peaks) memory.
+    /// transaction hashes one fixed-size entry into the open leaf of a
+    /// [`TraceLog`], and the leaf ends at [`Bus::seal_trace_leaf`]. A
+    /// fleet instance seals once after bring-up and once per driver
+    /// unit, so its leaf `k` is its unit `k`. `retain` keeps leaf/node
+    /// hashes for bisection and segment replay; `false` streams in
+    /// O(peaks) memory.
     pub fn enable_trace(&mut self, retain: bool) {
-        let mut log = MmrLog::new(retain);
-        // One entry is 26 bytes; size the arena for a full batch.
-        log.reserve(1024, TRACE_ENTRY_BYTES);
-        self.trace = Some(Box::new(log));
+        self.trace = Some(Box::new(TraceLog::new(retain)));
+    }
+
+    /// Ends the open trace leaf, even an empty one (no-op when tracing
+    /// is off).
+    pub fn seal_trace_leaf(&mut self) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.seal();
+        }
     }
 
     /// Stops tracing and drops the log.
@@ -188,33 +194,30 @@ impl Bus {
     }
 
     /// The trace log, if tracing is enabled.
-    pub fn trace(&self) -> Option<&MmrLog> {
+    pub fn trace(&self) -> Option<&TraceLog> {
         self.trace.as_deref()
     }
 
-    /// Folds pending entries and returns the trace root.
+    /// Returns the trace root, first ending the open leaf if it holds
+    /// entries (so a root taken right after a seal moves no boundary).
     pub fn trace_root(&mut self) -> Option<Hash> {
-        self.trace.as_deref_mut().map(MmrLog::root)
+        self.trace.as_deref_mut().map(TraceLog::root)
     }
 
-    /// Folds and takes the accumulated trace segment, leaving the
-    /// trace empty — the checkpoint-drain hook: a fleet shard appends
-    /// drained segments into its per-instance forest, keeping retained
-    /// memory bounded by the drain cadence.
+    /// Takes the accumulated trace segment, leaving the trace empty —
+    /// the checkpoint-drain hook: a fleet shard appends drained
+    /// segments into its per-instance forest, keeping retained memory
+    /// bounded by the drain cadence. Like [`Bus::trace_root`] it ends
+    /// the open leaf only if that holds entries, so drains taken
+    /// between seals cut no leaf.
     pub fn drain_trace_segment(&mut self) -> Option<Mmr> {
-        self.trace.as_deref_mut().map(MmrLog::take_segment)
+        self.trace.as_deref_mut().map(TraceLog::take_segment)
     }
 
     #[inline]
     fn trace_op(&mut self, kind: u8, width: Width, addr: u64, a: u64, b: u64) {
         if let Some(t) = self.trace.as_deref_mut() {
-            let mut e = [0u8; TRACE_ENTRY_BYTES];
-            e[0] = kind;
-            e[1] = width.bytes() as u8;
-            e[2..10].copy_from_slice(&addr.to_le_bytes());
-            e[10..18].copy_from_slice(&a.to_le_bytes());
-            e[18..26].copy_from_slice(&b.to_le_bytes());
-            t.push(&e);
+            trace_entry(t, kind, width, addr, a, b);
         }
     }
 
@@ -433,6 +436,20 @@ impl Bus {
             panic!("{what} to unclaimed address {addr:#x}");
         }
     }
+}
+
+/// Hashes one trace entry into the open leaf. Kept out of line so the
+/// untraced `io_read`/`io_write` bodies, which drivers and `PortMap`
+/// inline, carry only the `None` branch.
+#[inline(never)]
+fn trace_entry(t: &mut TraceLog, kind: u8, width: Width, addr: u64, a: u64, b: u64) {
+    let mut e = [0u8; TRACE_ENTRY_BYTES];
+    e[0] = kind;
+    e[1] = width.bytes() as u8;
+    e[2..10].copy_from_slice(&addr.to_le_bytes());
+    e[10..18].copy_from_slice(&a.to_le_bytes());
+    e[18..26].copy_from_slice(&b.to_le_bytes());
+    t.push(&e);
 }
 
 #[cfg(test)]
@@ -667,7 +684,7 @@ mod tests {
         let before = bus.ledger();
         exercise(&mut bus);
         let delta = bus.ledger().since(&before);
-        assert_eq!(bus.trace().unwrap().len(), delta.len());
+        assert_eq!(bus.trace().unwrap().open_entries(), delta.len());
         assert_eq!(delta.len(), 6, "2 singles + 2 blocks + 1 unclaimed + 1 dma");
     }
 
@@ -720,15 +737,19 @@ mod tests {
         drained.enable_trace(true); // segments must retain leaves
         let mut acc = crate::mmr::Mmr::streaming();
 
+        // Both buses seal at the drain points; only one drains there.
         for round in 0..5 {
             exercise(&mut whole);
             exercise(&mut drained);
             if round % 2 == 0 {
+                whole.seal_trace_leaf();
+                drained.seal_trace_leaf();
                 acc.append(&drained.drain_trace_segment().unwrap());
             }
         }
         acc.append(&drained.drain_trace_segment().unwrap());
         assert_eq!(acc.root(), whole.trace_root().unwrap());
-        assert_eq!(drained.trace().unwrap().len(), 0);
+        assert_eq!(acc.leaves(), 3, "one leaf per sealed run: rounds 0, 1–2, 3–4");
+        assert_eq!(drained.trace().unwrap().open_entries(), 0);
     }
 }

@@ -30,9 +30,15 @@
 //!   array; supports [`bisect_divergence`] and segment replay) or
 //!   *streaming* mode (keeps only the peaks stack — O(log N) memory for
 //!   million-op replays).
-//! * [`MmrLog`] / [`MmrForest`] — deferred-batch leaf ingestion for the
-//!   hot bus path, and the per-source forest that fleet shards merge at
-//!   checkpoints.
+//! * The logs that feed it, and the forest over them:
+//!   - [`MmrLog`] makes one leaf per entry, with deferred batched
+//!     hashing: the per-op replays of the differential comparators,
+//!     whose bisection names a single op;
+//!   - [`TraceLog`] is the bus trace: entries stream into one open leaf
+//!     that its owner seals at its own boundaries (a fleet instance
+//!     seals once per driver unit);
+//!   - [`MmrForest`] is the per-source forest that fleet shards merge
+//!     at checkpoints.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -613,6 +619,76 @@ impl Default for MmrLog {
     }
 }
 
+// ---- sealed-leaf ingestion ----
+
+/// An MMR whose leaves are caller-delimited runs of entries.
+///
+/// Each entry streams into an open leaf hasher as it is pushed, so
+/// there is no pending arena: memory is the tree plus one hasher. A
+/// leaf ends only at [`TraceLog::seal`], or at a [`TraceLog::root`] or
+/// [`TraceLog::take_segment`] that finds entries still open. Roots and
+/// segments taken between seals therefore leave the leaf boundaries —
+/// and so the root — exactly as if they had not been taken. The leaf
+/// count is the number of sealed runs, not of entries. A leaf hashes
+/// the concatenated bytes of its run, so moving a boundary changes the
+/// root.
+pub struct TraceLog {
+    mmr: Mmr,
+    open: Hasher,
+    open_entries: u64,
+}
+
+impl TraceLog {
+    /// An empty log; `retain` chooses the accumulator mode.
+    pub fn new(retain: bool) -> Self {
+        TraceLog {
+            mmr: if retain { Mmr::retained() } else { Mmr::streaming() },
+            open: Hasher::new(),
+            open_entries: 0,
+        }
+    }
+
+    /// Hashes one entry into the open leaf.
+    pub fn push(&mut self, entry: &[u8]) {
+        self.open.update(entry);
+        self.open_entries += 1;
+    }
+
+    /// Ends the open leaf — even an empty one, so a caller that seals
+    /// once per unit of work gets exactly one leaf per unit.
+    pub fn seal(&mut self) {
+        self.mmr.push_leaf(self.open.finalize());
+        self.open = Hasher::new();
+        self.open_entries = 0;
+    }
+
+    /// Entries pushed since the last seal.
+    pub fn open_entries(&self) -> u64 {
+        self.open_entries
+    }
+
+    fn seal_if_open(&mut self) {
+        if self.open_entries > 0 {
+            self.seal();
+        }
+    }
+
+    /// Seals any open entries and returns the root.
+    pub fn root(&mut self) -> Hash {
+        self.seal_if_open();
+        self.mmr.root()
+    }
+
+    /// Seals any open entries and takes the accumulated segment,
+    /// leaving the log empty in the same mode: per-drain segments
+    /// [`Mmr::append`]ed elsewhere reproduce the undrained root.
+    pub fn take_segment(&mut self) -> Mmr {
+        self.seal_if_open();
+        let empty = if self.mmr.is_retained() { Mmr::retained() } else { Mmr::streaming() };
+        std::mem::replace(&mut self.mmr, empty)
+    }
+}
+
 // ---- the per-source forest ----
 
 /// A forest of MMRs keyed by source id (fleet: one per instance).
@@ -886,6 +962,27 @@ mod tests {
         acc.append(&drained.take_segment());
         assert_eq!(acc.root(), contiguous.root());
         assert_eq!(drained.len(), 0, "drained log restarts empty");
+    }
+
+    #[test]
+    fn trace_log_leaves_are_sealed_runs() {
+        let mut log = TraceLog::new(true);
+        log.seal(); // an empty run is a leaf too
+        for i in 0..5u64 {
+            log.push(&i.to_le_bytes());
+        }
+        assert_eq!(log.open_entries(), 5);
+        log.seal();
+        let root = log.root(); // nothing open: no further leaf
+        let seg = log.take_segment();
+        assert_eq!(seg.leaves(), 2);
+        assert_eq!(seg.root(), root);
+        assert_eq!(seg.leaf_hash_at(0), Hasher::new().finalize());
+        let mut run = Hasher::new();
+        for i in 0..5u64 {
+            run.update(&i.to_le_bytes());
+        }
+        assert_eq!(seg.leaf_hash_at(1), run.finalize(), "a leaf hashes its run's bytes");
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!   O(peaks) replay mode proves the same statement,
 //! * drain cadence is invisible: merging per-segment forests equals
 //!   accumulating the merged log directly (the fleet's checkpoint
-//!   discipline), and
+//!   discipline),
+//! * a [`TraceLog`]'s leaves are exactly its sealed runs: drains and
+//!   roots taken at seal points move no boundary, and moving a seal
+//!   changes the root, and
 //! * [`bisect_divergence`] names exactly the leaf a linear scan names,
 //!   in O(log N) hash compares (the sensitivity property the failure
 //!   reports rely on).
 
-use hwsim::mmr::{bisect_divergence, leaf_hash, linear_divergence, Hash, Mmr, MmrForest, MmrLog};
+use hwsim::mmr::{
+    bisect_divergence, leaf_hash, linear_divergence, Hash, Mmr, MmrForest, MmrLog, TraceLog,
+};
 use proptest::prelude::*;
 
 fn leaves(words: &[u64]) -> Vec<Hash> {
@@ -60,6 +65,67 @@ proptest! {
         }
         prop_assert_eq!(batched.len(), words.len() as u64);
         prop_assert_eq!(batched.root(), eager.root());
+    }
+
+    /// Drains and roots taken at seal points are invisible: a stream
+    /// with random seal points (action 1), some of them also drained
+    /// into an accumulator (2) or rooted (3), ends with the root of the
+    /// same stream sealed alike and never drained, in either mode.
+    #[test]
+    fn drains_and_roots_at_seal_points_move_no_boundary(
+        stream in proptest::collection::vec((any::<u64>(), 0u8..4), 0..300),
+    ) {
+        let mut streaming = TraceLog::new(false);
+        let mut retained = TraceLog::new(true);
+        let mut probed = TraceLog::new(true);
+        let mut acc = Mmr::streaming();
+        for &(w, action) in &stream {
+            for log in [&mut streaming, &mut retained, &mut probed] {
+                log.push(&w.to_le_bytes());
+                if action > 0 {
+                    log.seal();
+                }
+            }
+            match action {
+                2 => acc.append(&probed.take_segment()),
+                3 => {
+                    probed.root();
+                }
+                _ => {}
+            }
+        }
+        acc.append(&probed.take_segment());
+        let sealed = stream.iter().filter(|&&(_, a)| a > 0).count() as u64;
+        let tail = stream.last().is_some_and(|&(_, a)| a == 0) as u64;
+        prop_assert_eq!(acc.leaves(), sealed + tail);
+        let root = streaming.root();
+        prop_assert_eq!(retained.root(), root);
+        prop_assert_eq!(acc.root(), root);
+    }
+
+    /// Sensitivity: leaf boundaries are authenticated. Flipping one
+    /// seal point changes the root, unless it is the seal after the
+    /// last entry, which `root` implies anyway.
+    #[test]
+    fn moving_a_seal_point_changes_the_root(
+        stream in proptest::collection::vec((any::<u64>(), any::<bool>()), 1..200),
+        pick in any::<usize>(),
+    ) {
+        let root = |seals: &[bool]| {
+            let mut log = TraceLog::new(false);
+            for (&(w, _), &seal) in stream.iter().zip(seals) {
+                log.push(&w.to_le_bytes());
+                if seal {
+                    log.seal();
+                }
+            }
+            log.root()
+        };
+        let seals: Vec<bool> = stream.iter().map(|&(_, s)| s).collect();
+        let k = pick % seals.len();
+        let mut moved = seals.clone();
+        moved[k] = !moved[k];
+        prop_assert_eq!(root(&seals) == root(&moved), k == seals.len() - 1);
     }
 
     /// Merge of per-shard forests ≡ MMR forest of the merged log: a
