@@ -1,92 +1,25 @@
 //! Offline stand-in for the `criterion` benchmark harness.
 //!
 //! The build environment has no crates.io access, so this crate vendors
-//! the small slice of criterion's API the workspace benches use:
-//! [`Criterion`], [`Criterion::benchmark_group`], `bench_function`,
-//! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
+//! the small slice of criterion's API the paper-table benches use:
+//! [`Criterion::benchmark_group`], `sample_size`, `bench_function`,
+//! [`Bencher::iter`], `finish`, and the [`criterion_group!`] /
 //! [`criterion_main!`] macros. Measurement is a plain
 //! warmup-then-sample loop around `std::time::Instant`; results are
 //! printed as `name  time: [.. mean ..]` lines in criterion's style so
-//! the numbers can be eyeballed and diffed.
+//! the numbers can be eyeballed. The repository's benchmark, with
+//! spread, host and per-layer figures, is `perfbench/`.
 //!
 //! Swapping the real criterion back in is a one-line change in the
 //! workspace manifest; no bench source needs to change.
-//!
-//! Two environment variables make runs machine-consumable:
-//!
-//! * `BENCH_JSON=<path>` — after all groups run, write every result as
-//!   nested JSON (`{"group": {"bench": mean_ns}}`). The committed
-//!   `BENCH_micro.json` snapshot is regenerated with
-//!   `BENCH_JSON=BENCH_micro.json cargo bench --bench micro_stub`.
-//! * `BENCH_MEASURE_MS=<ms>` — per-benchmark measurement budget
-//!   (default 200 ms; CI's smoke step uses a small value).
 
-use std::sync::Mutex;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Re-export of `std::hint::black_box` under criterion's name.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-/// How long to measure each benchmark for (after warmup), unless
-/// `BENCH_MEASURE_MS` overrides it.
+/// How long to measure each benchmark for (after warmup).
 const MEASURE_FOR: Duration = Duration::from_millis(200);
 /// Warmup period before measuring.
 const WARMUP_FOR: Duration = Duration::from_millis(50);
-
-/// Every `(full bench id, mean ns/iter)` measured by this process, in
-/// run order — the source for [`write_json_results`].
-static RESULTS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
-
-fn measure_for() -> Duration {
-    std::env::var("BENCH_MEASURE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(MEASURE_FOR)
-}
-
-/// Writes the collected results as `group → bench → mean ns` JSON to
-/// the path named by `BENCH_JSON`, if set. Called by
-/// [`criterion_main!`] after every group has run.
-pub fn write_json_results() {
-    let Ok(path) = std::env::var("BENCH_JSON") else { return };
-    let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
-    // Group by id prefix, preserving first-seen order and merging
-    // non-adjacent results of one group so no key appears twice (a
-    // duplicate JSON key would silently shadow the earlier benches).
-    let mut groups: Vec<(&str, Vec<(&str, f64)>)> = Vec::new();
-    for (id, ns) in results.iter() {
-        let (group, bench) = id.split_once('/').unwrap_or(("", id.as_str()));
-        match groups.iter_mut().find(|(g, _)| *g == group) {
-            Some((_, benches)) => benches.push((bench, *ns)),
-            None => groups.push((group, vec![(bench, *ns)])),
-        }
-    }
-    let mut out = String::from("{\n");
-    for (gi, (group, benches)) in groups.iter().enumerate() {
-        out.push_str(&format!("  \"{group}\": {{\n"));
-        for (bi, (bench, ns)) in benches.iter().enumerate() {
-            let sep = if bi + 1 == benches.len() { "\n" } else { ",\n" };
-            out.push_str(&format!("    \"{bench}\": {ns:.1}{sep}"));
-        }
-        out.push_str(if gi + 1 == groups.len() { "  }\n" } else { "  },\n" });
-    }
-    out.push_str("}\n");
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("warning: cannot write BENCH_JSON to {path}: {e}");
-    }
-}
-
-/// Records an already-measured scalar under a `group/bench` id — for
-/// benches whose metric is not time per iteration (ops/sec, latency
-/// percentiles). The value lands in the same `BENCH_JSON` output as
-/// timed results, under the id's group.
-pub fn record_value(id: &str, value: f64) {
-    println!("{id:<40} value: {value:.1}");
-    RESULTS.lock().unwrap_or_else(|e| e.into_inner()).push((id.to_string(), value));
-}
 
 /// Top-level harness handle, mirroring `criterion::Criterion`.
 pub struct Criterion {
@@ -107,15 +40,6 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         println!("group: {name}");
         BenchmarkGroup { c: self, group: name.to_string() }
-    }
-
-    /// Benchmarks a single function outside any group.
-    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_bench(self.test_mode, id, f);
-        self
     }
 }
 
@@ -186,10 +110,9 @@ impl Bencher {
             }
         }
         // Measure.
-        let budget = measure_for();
         let mut iters = 0u64;
         let mut elapsed = Duration::ZERO;
-        while elapsed < budget {
+        while elapsed < MEASURE_FOR {
             let t = Instant::now();
             for _ in 0..batch {
                 black_box(routine());
@@ -214,7 +137,6 @@ where
     }
     let per_iter = if b.iters > 0 { b.elapsed.as_nanos() as f64 / b.iters as f64 } else { 0.0 };
     println!("{id:<40} time: [{} {} {}]", fmt_ns(per_iter), fmt_ns(per_iter), fmt_ns(per_iter));
-    RESULTS.lock().unwrap_or_else(|e| e.into_inner()).push((id.to_string(), per_iter));
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -240,14 +162,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares the bench `main`, mirroring criterion's macro. After every
-/// group runs, results are flushed as JSON when `BENCH_JSON` is set.
+/// Declares the bench `main`, mirroring criterion's macro.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::write_json_results();
         }
     };
 }
@@ -266,29 +186,6 @@ mod tests {
         });
         assert_eq!(n, 1);
         assert_eq!(b.iters, 1);
-    }
-
-    #[test]
-    fn json_results_render_nested_groups() {
-        {
-            let mut r = RESULTS.lock().unwrap();
-            r.clear();
-            r.extend([
-                ("g1/a".to_string(), 12.34),
-                ("g1/b".to_string(), 5.0),
-                ("g2/c".to_string(), 1000.5),
-            ]);
-        }
-        let path = std::env::temp_dir().join("criterion_stand_in_json_test.json");
-        std::env::set_var("BENCH_JSON", &path);
-        write_json_results();
-        std::env::remove_var("BENCH_JSON");
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            got,
-            "{\n  \"g1\": {\n    \"a\": 12.3,\n    \"b\": 5.0\n  },\n  \"g2\": {\n    \"c\": 1000.5\n  }\n}\n"
-        );
-        RESULTS.lock().unwrap().clear();
     }
 
     #[test]

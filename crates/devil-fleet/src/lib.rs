@@ -16,22 +16,23 @@
 //! instance's history is identical no matter how the fleet is sharded.
 //!
 //! Each shard worker runs a discrete-event loop over its instances:
-//! arrivals are exponential in integer simulated nanoseconds, service
-//! times come from the instance's own bus clock (the hwsim cost
-//! model), and a unit's latency is completion minus arrival — real
-//! queueing, so p99/p999 respond to load the way a driver stack's tail
-//! latencies do. Device models use `Rc` internally and are not `Send`,
-//! so workers *build* their shard's instances locally from shared
-//! [`Arc`]-backed IRs; only plain-data results cross threads.
+//! arrivals are exponential in integer simulated nanoseconds and
+//! service times come from the instance's own bus clock (the hwsim
+//! cost model), so the shard clock orders units and its final value is
+//! the simulated makespan. Device models use `Rc` internally and are
+//! not `Send`, so workers *build* their shard's instances locally from
+//! shared [`Arc`]-backed IRs; only plain-data results cross threads.
+//! A panic inside a unit is re-raised naming the fleet seed, shard,
+//! instance, workload and unit index.
 //!
 //! # Determinism gate
 //!
 //! [`FleetReport::assert_replay_equivalent`] checks that merged
 //! N-shard results — fleet ledger totals, per-instance final ledgers
 //! and interpreter snapshots, plan-dispatch counters, unit counts —
-//! are exactly equal to a single-threaded replay. Latency percentiles
-//! are *excluded*: they measure queueing, which legitimately depends
-//! on the shard count.
+//! are exactly equal to a single-threaded replay. The simulated
+//! makespan is *excluded*: it measures queueing, which legitimately
+//! depends on the shard count.
 
 #![forbid(unsafe_code)]
 
@@ -104,7 +105,6 @@ struct ShardResult {
     ledger: Ledger,
     forest: MmrForest,
     stats: PlanStats,
-    latencies_ns: Vec<u64>,
     clock_ns: u64,
     units: u64,
     checkpoints: u64,
@@ -141,18 +141,8 @@ pub struct FleetReport {
     pub checkpoints: u64,
     /// Simulated makespan: the latest shard clock, in nanoseconds.
     pub sim_makespan_ns: u64,
-    /// Aggregate simulated throughput: units per simulated second.
-    pub sim_ops_per_s: f64,
     /// Wall-clock duration of the run (spawn + simulate + merge).
     pub wall: Duration,
-    /// Units per wall-clock second on the host.
-    pub wall_ops_per_s: f64,
-    /// Unit latency percentiles (completion − arrival), nanoseconds.
-    pub p50_ns: u64,
-    /// 99th percentile latency.
-    pub p99_ns: u64,
-    /// 99.9th percentile latency.
-    pub p999_ns: u64,
     /// Final per-instance state, ordered by instance id.
     pub finals: Vec<InstanceFinal>,
 }
@@ -207,6 +197,31 @@ fn drain(inst: &mut FleetInstance, ledger: &mut Ledger, forest: &mut MmrForest) 
     forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
 }
 
+/// Runs one unit through `run`. A panic inside it is re-raised as one
+/// message naming the fleet seed, the shard, the instance and its
+/// workload, the unit index (units the instance had completed before
+/// it) and the original panic text.
+fn run_contained<T>(
+    seed: u64,
+    shard: usize,
+    id: u32,
+    kind: WorkloadKind,
+    unit: u64,
+    run: impl FnOnce() -> T,
+) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        panic!(
+            "fleet seed {seed:#x}, shard {shard}: instance {id} ({}) panicked in unit {unit}: {text}",
+            kind.name()
+        )
+    })
+}
+
 /// Runs one shard: build its instances locally, then drain the
 /// discrete-event loop.
 fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
@@ -231,7 +246,6 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
     // Streaming trees: the gate only needs roots, so a shard holds
     // O(instances · log ops) hashes no matter how long the run is.
     let mut forest = MmrForest::new(false);
-    let mut latencies_ns = Vec::with_capacity(insts.len() * cfg.units_per_instance as usize);
     let mut clock_ns = 0u64;
     let mut units = 0u64;
     let mut checkpoints = 0u64;
@@ -242,14 +256,15 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
 
     while let Some(Reverse((arrival, idx))) = heap.pop() {
         let inst = &mut insts[idx];
-        let service = inst.run_unit();
+        let service = run_contained(cfg.seed, shard, inst.id(), inst.kind(), inst.units(), || {
+            inst.run_unit()
+        });
         if !is_dirty[idx] {
             is_dirty[idx] = true;
             dirty.push(idx);
         }
         let start = clock_ns.max(arrival);
         clock_ns = start + service;
-        latencies_ns.push(clock_ns - arrival);
         units += 1;
         if inst.units() < cfg.units_per_instance {
             let gap = inst.next_gap_ns(cfg.arrival_mean_ns);
@@ -284,27 +299,7 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
         })
         .collect();
 
-    ShardResult { ledger, forest, stats, latencies_ns, clock_ns, units, checkpoints, finals }
-}
-
-/// Nearest-rank percentile: the smallest value such that at least
-/// `q·len` samples are ≤ it, i.e. `sorted[ceil(q·len) - 1]` clamped to
-/// the valid range. The previous linear-index rounding deviated at
-/// small sample counts (p50 of 4 samples picked index 2; nearest-rank
-/// is index 1).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Runs a fleet, compiling the spec library first. Benchmarks that
-/// sweep many configurations should compile once and use
-/// [`run_fleet_with`].
-pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_with(cfg, &SharedIrs::compile())
+    ShardResult { ledger, forest, stats, clock_ns, units, checkpoints, finals }
 }
 
 /// Runs a fleet against already-compiled shared IRs.
@@ -316,7 +311,11 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
     let results: Vec<ShardResult> = std::thread::scope(|s| {
         let handles: Vec<_> =
             (0..cfg.shards).map(|shard| s.spawn(move || run_shard(cfg, irs, shard))).collect();
-        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+        // A worker's panic already names its unit; pass it on unchanged.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
     let wall = start.elapsed();
 
@@ -328,7 +327,6 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
     let mut units = 0u64;
     let mut checkpoints = 0u64;
     let mut sim_makespan_ns = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
     let mut finals: Vec<InstanceFinal> = Vec::with_capacity(cfg.instances);
     for r in results {
         ledger.merge(&r.ledger);
@@ -337,16 +335,9 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
         units += r.units;
         checkpoints += r.checkpoints;
         sim_makespan_ns = sim_makespan_ns.max(r.clock_ns);
-        latencies.extend(r.latencies_ns);
         finals.extend(r.finals);
     }
     finals.sort_by_key(|f| f.id);
-    latencies.sort_unstable();
-
-    let sim_ops_per_s =
-        if sim_makespan_ns > 0 { units as f64 / (sim_makespan_ns as f64 / 1e9) } else { 0.0 };
-    let wall_s = wall.as_secs_f64();
-    let wall_ops_per_s = if wall_s > 0.0 { units as f64 / wall_s } else { 0.0 };
 
     let trace_root = forest.root();
     FleetReport {
@@ -359,12 +350,7 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
         stats,
         checkpoints,
         sim_makespan_ns,
-        sim_ops_per_s,
         wall,
-        wall_ops_per_s,
-        p50_ns: percentile(&latencies, 0.50),
-        p99_ns: percentile(&latencies, 0.99),
-        p999_ns: percentile(&latencies, 0.999),
         finals,
     }
 }
@@ -381,54 +367,27 @@ const _: () = {
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{run_contained, WorkloadKind};
 
     #[test]
-    fn percentile_of_one_sample_is_that_sample() {
-        let s = [7];
-        assert_eq!(percentile(&s, 0.50), 7);
-        assert_eq!(percentile(&s, 0.99), 7);
-        assert_eq!(percentile(&s, 0.999), 7);
-    }
-
-    #[test]
-    fn percentile_of_two_samples() {
-        let s = [10, 20];
-        // Nearest-rank p50 of 2 samples is the first: ceil(0.5·2) = 1.
-        assert_eq!(percentile(&s, 0.50), 10);
-        assert_eq!(percentile(&s, 0.99), 20);
-    }
-
-    #[test]
-    fn percentile_of_four_samples() {
-        let s = [1, 2, 3, 4];
-        // ceil(0.5·4) = 2 → second sample, not the old round()'s third.
-        assert_eq!(percentile(&s, 0.50), 2);
-        assert_eq!(percentile(&s, 0.75), 3);
-        assert_eq!(percentile(&s, 0.99), 4);
-    }
-
-    #[test]
-    fn percentile_of_ten_samples() {
-        let s: Vec<u64> = (1..=10).collect();
-        assert_eq!(percentile(&s, 0.50), 5);
-        assert_eq!(percentile(&s, 0.90), 9);
-        assert_eq!(percentile(&s, 0.99), 10);
-    }
-
-    #[test]
-    fn percentile_of_hundred_samples() {
-        let s: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&s, 0.50), 50);
-        assert_eq!(percentile(&s, 0.99), 99);
-        assert_eq!(percentile(&s, 0.999), 100);
-    }
-
-    #[test]
-    fn percentile_extremes_are_clamped() {
-        let s: Vec<u64> = (1..=10).collect();
-        assert_eq!(percentile(&s, 0.0), 1);
-        assert_eq!(percentile(&s, 1.0), 10);
-        assert_eq!(percentile(&[], 0.5), 0);
+    fn a_unit_panic_names_seed_shard_instance_workload_and_unit() {
+        assert_eq!(run_contained(1, 0, 0, WorkloadKind::Figure3, 0, || 7), 7);
+        let err = std::panic::catch_unwind(|| {
+            run_contained(0xf1ee7, 3, 42, WorkloadKind::IcwStorm, 17, || -> u64 {
+                panic!("device model fault at port {:#x}", 0x21)
+            })
+        })
+        .expect_err("a panicking unit must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        for want in [
+            "fleet seed 0xf1ee7",
+            "shard 3",
+            "instance 42",
+            "(icw_storm)",
+            "unit 17",
+            "device model fault at port 0x21",
+        ] {
+            assert!(msg.contains(want), "{want:?} missing from {msg:?}");
+        }
     }
 }

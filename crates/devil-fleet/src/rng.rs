@@ -54,10 +54,9 @@ impl Rng {
     /// An exponentially distributed interarrival gap with the given
     /// mean, in integer nanoseconds (at least 1).
     ///
-    /// Open-loop arrivals with a long right tail make the p999 latency
-    /// figure mean something; the gate quantities (ledgers, snapshots)
-    /// never depend on arrival times, so the `f64` log here cannot
-    /// perturb the determinism check.
+    /// Arrivals only order units on a shard's simulated clock; the gate
+    /// quantities (ledgers, snapshots) never depend on arrival times,
+    /// so the `f64` log here cannot perturb the determinism check.
     pub fn exp_ns(&mut self, mean_ns: u64) -> u64 {
         let u = ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
         let x = -(1.0 - u).ln() * mean_ns as f64;

@@ -358,11 +358,6 @@ impl FleetInstance {
         self.units
     }
 
-    /// The instance's private bus clock, in simulated nanoseconds.
-    pub fn now_ns(&self) -> f64 {
-        self.bus.now_ns()
-    }
-
     /// The next interarrival gap for this instance's unit stream.
     pub fn next_gap_ns(&mut self, mean_ns: u64) -> u64 {
         self.rng.exp_ns(mean_ns)

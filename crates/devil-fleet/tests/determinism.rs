@@ -3,9 +3,9 @@
 //! A sharded fleet must be a pure reorganization of work: merged
 //! ledger totals, per-instance final ledgers and interpreter
 //! snapshots, plan-dispatch counters, and unit counts are exactly
-//! equal to a single-threaded replay, for any shard count. Latency
-//! percentiles are excluded — they measure queueing, which depends on
-//! sharding by design.
+//! equal to a single-threaded replay, for any shard count. The
+//! simulated makespan is excluded — it measures queueing, which
+//! depends on sharding by design.
 
 use devil_fleet::{run_fleet_with, FleetConfig, Mix, SharedIrs, WorkloadKind};
 use hwsim::mmr::leaf_hash;
@@ -41,14 +41,13 @@ fn every_mix_is_shard_count_independent() {
 }
 
 #[test]
-fn same_config_is_bit_identical_including_latencies() {
+fn same_config_is_bit_identical() {
     let irs = SharedIrs::compile();
     let a = run_fleet_with(&cfg(Mix::all_specs(), 2, 24), &irs);
     let b = run_fleet_with(&cfg(Mix::all_specs(), 2, 24), &irs);
     a.assert_replay_equivalent(&b);
     // Same shard count: even the queueing-dependent numbers replay.
     assert_eq!(a.sim_makespan_ns, b.sim_makespan_ns);
-    assert_eq!((a.p50_ns, a.p99_ns, a.p999_ns), (b.p50_ns, b.p99_ns, b.p999_ns));
 }
 
 #[test]
@@ -71,13 +70,15 @@ fn sharding_scales_simulated_throughput() {
     let irs = SharedIrs::compile();
     let one = run_fleet_with(&cfg(Mix::all_specs(), 1, 32), &irs);
     let four = run_fleet_with(&cfg(Mix::all_specs(), 4, 32), &irs);
+    // Equal unit counts, so half the makespan is twice the simulated
+    // throughput.
+    assert_eq!(four.units, one.units);
     assert!(
-        four.sim_ops_per_s > 2.0 * one.sim_ops_per_s,
-        "4 shards must beat 1 shard well past 2×: {} vs {}",
-        four.sim_ops_per_s,
-        one.sim_ops_per_s
+        2 * four.sim_makespan_ns < one.sim_makespan_ns,
+        "4 shards must beat 1 shard well past 2×: makespan {} vs {} ns",
+        four.sim_makespan_ns,
+        one.sim_makespan_ns
     );
-    assert!(four.sim_makespan_ns < one.sim_makespan_ns);
 }
 
 /// The authenticated half of the gate: every instance grows a trace

@@ -202,11 +202,6 @@ impl Coverage {
         (0..space.len()).filter(|&i| !self.hits[i]).map(|i| space.name(i)).collect()
     }
 
-    /// Distinct fallback shapes observed (novelty-only signal).
-    pub fn fallback_shapes(&self) -> usize {
-        self.fallbacks.len()
-    }
-
     /// The distinct fallback shapes observed, rendered as stable,
     /// sorted `access general` lines. This is the set the
     /// nightly corpus job diffs across corpus generations: a grown

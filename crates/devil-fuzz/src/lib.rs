@@ -34,7 +34,6 @@ use superfuzz::SuperCall;
 
 pub mod compiled;
 pub mod compiled_rust;
-pub mod corpus;
 pub mod coverage;
 pub mod rooted;
 pub mod superfuzz;

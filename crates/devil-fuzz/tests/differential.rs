@@ -214,6 +214,8 @@ fn formerly_fallback_specs_dispatch_on_plans() {
 /// The rooted comparator agrees with the linear one on the coverage
 /// sweep of every device — and both replays of the same ops produce
 /// the same 32-byte root, whether fed a slice or a generated stream.
+/// The linear comparator also passes a 10k-op generated stream; the
+/// rooted one replays longer streams in `diff_longrun_root_compare`.
 #[test]
 fn rooted_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
@@ -221,6 +223,10 @@ fn rooted_sweep_agrees_on_all_devices() {
         let out = compare(ir, Rig::Fast, Rig::General, || ops.iter().cloned())
             .unwrap_or_else(|e| panic!("{name}: rooted sweep diverges\n{e}"));
         assert_eq!(out.ops, ops.len() as u64, "{name}");
+
+        let stream: Vec<Op> = OpStream::new(ir, 0xBE, 10_000).collect();
+        check_equivalence(ir, &stream)
+            .unwrap_or_else(|e| panic!("{name}: linear stream diverges\n{e}"));
     }
 }
 

@@ -70,8 +70,8 @@ impl PlanStats {
     /// # Panics
     ///
     /// Panics if any counter of `earlier` exceeds this snapshot's —
-    /// counters are monotone between resets, so a negative delta means
-    /// the two snapshots are from different epochs (a reset or a
+    /// counters are monotone between restores, so a negative delta
+    /// means the two snapshots are from different epochs (a
     /// [`DeviceInstance::restore`] in between).
     pub fn delta(self, earlier: PlanStats) -> PlanStats {
         let sub = |field: &str, now: u64, then: u64| {
@@ -398,8 +398,8 @@ impl DeviceInstance {
 
     /// Enables or disables the precompiled-plan fast path (on by
     /// default; turning it off selects the general interpreter as the
-    /// reference model, which the differential suites and the micro
-    /// benchmarks compare against).
+    /// reference model, which the differential suites compare
+    /// against).
     pub fn set_fast_plans(&mut self, on: bool) {
         self.fast_plans = on;
     }
@@ -409,16 +409,10 @@ impl DeviceInstance {
         &self.ir
     }
 
-    /// Dispatch counters accumulated since construction (or the last
-    /// [`DeviceInstance::reset_plan_stats`]).
+    /// Dispatch counters accumulated since construction (rewound by
+    /// [`DeviceInstance::restore`]).
     pub fn plan_stats(&self) -> PlanStats {
         self.stats
-    }
-
-    /// Clears the dispatch counters.
-    pub fn reset_plan_stats(&mut self) {
-        self.stats = PlanStats::default();
-        self.superplan_hits.fill(0);
     }
 
     /// Per-superplan fused-dispatch counts, indexed like

@@ -188,11 +188,6 @@ impl Bus {
         }
     }
 
-    /// Stops tracing and drops the log.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// The trace log, if tracing is enabled.
     pub fn trace(&self) -> Option<&TraceLog> {
         self.trace.as_deref()
@@ -224,11 +219,6 @@ impl Bus {
     /// The bus cost model.
     pub fn costs(&self) -> CostModel {
         self.costs
-    }
-
-    /// Replaces the cost model (harnesses sweep calibrations).
-    pub fn set_costs(&mut self, costs: CostModel) {
-        self.costs = costs;
     }
 
     // ---- port I/O ----
